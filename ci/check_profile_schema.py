@@ -76,6 +76,8 @@ LATENCY_PHASES = [
     "region_commit",
     "lease_acquire",
     "lease_held",
+    "mirror_gather",
+    "mirror_scatter",
 ]
 
 # Every histogram summary carries exactly these keys.

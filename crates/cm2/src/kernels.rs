@@ -28,11 +28,12 @@
 //! never computes a coefficient address — it just advances through a
 //! contiguous stream. [`StripKernels::pack_stream`] reproduces that
 //! layout per lane group, [`CoeffStreams`] caches the packed buffers
-//! across executes (the stream depends only on the bound coefficient
-//! values, so it survives result/source rebinds and is invalidated
-//! only when a coefficient base moves or the host writes node memory),
-//! and the burst bodies read their taps' coefficient rows sequentially
-//! from the stream instead of walking strided lane rows.
+//! across executes (the stream depends only on the coefficient words
+//! it was packed from, so it survives result/source rebinds and is
+//! invalidated only for the strips that read a coefficient range the
+//! holder re-gathered), and the burst bodies read their taps'
+//! coefficient rows sequentially from the stream instead of walking
+//! strided lane rows.
 //!
 //! **Bit-identity is the hard gate.** A kernel reassociates nothing: per
 //! lane, each chain's taps execute in exactly the interpreter's order
@@ -330,14 +331,33 @@ impl StripKernels {
             * n
     }
 
+    /// Whether any tap of this strip reads a coefficient from the lane
+    /// words `words` — whether re-gathering those words makes the
+    /// strip's packed stream stale. Each tap walks an arithmetic
+    /// progression of lane words (one step per execution of its line);
+    /// the test is against the progression's span, which is exact for
+    /// whole coefficient arrays (every tap's walk stays inside the one
+    /// array it reads) and conservative otherwise.
+    pub fn reads_coeff_words(&self, words: std::ops::Range<usize>) -> bool {
+        let period = self.body.len();
+        self.body.iter().enumerate().any(|(j, lk)| {
+            let runs = self.lines.saturating_sub(j).div_ceil(period) as i64;
+            runs > 0
+                && lk.taps.iter().any(|t| {
+                    let first = t.addr as i64;
+                    let last = first + (runs - 1) * t.delta;
+                    first.min(last) < words.end as i64 && first.max(last) >= words.start as i64
+                })
+        })
+    }
+
     /// Packs this strip's coefficient stream for one lane group: each
     /// tap's coefficient lane row, in exactly the order [`Self::run`]
     /// consumes them — the paper's §4 layout discipline, where the
     /// coefficients stream past the FPU in access order and the inner
     /// loop never forms a coefficient address. The stream is a pure
-    /// function of the bound coefficient values, so callers may reuse
-    /// it across executes until a coefficient binding or node memory
-    /// changes (see [`CoeffStreams`]).
+    /// function of the coefficient lane words, so callers may reuse it
+    /// across executes until those words change (see [`CoeffStreams`]).
     pub fn pack_stream(&self, lanes: &LaneMemory, out: &mut Vec<f32>) {
         let n = lanes.nodes();
         out.clear();
@@ -793,56 +813,92 @@ static BURST_TABLE: [[BurstFn; ARITY_SLOTS]; WIDTH_CLASSES] =
 /// strip `s`'s stream over lane group `g` (empty when the strip is not
 /// kernelized).
 ///
-/// The streams are a pure function of the bound coefficient *values*
-/// and the group shapes, so a holder keeps them valid across executes
-/// — including result/source rebinds — and calls [`Self::invalidate`]
-/// exactly when a coefficient binding moves or the host writes node
-/// memory. Shape changes (thread splits, retranslation changing the
-/// strip count) are detected and repacked automatically.
+/// A stream is a pure function of the coefficient lane words its strip
+/// reads and of the group shapes, so a holder keeps it across executes
+/// — including result/source rebinds — and calls
+/// [`Self::invalidate_words`] with exactly the lane words it re-gathered:
+/// only the strips reading them repack. Shape changes (thread splits,
+/// retranslation changing the strip count) repack every strip.
 #[derive(Debug, Clone, Default)]
 pub struct CoeffStreams {
     groups: Vec<Vec<Vec<f32>>>,
     /// Lane count per group the streams were packed for.
     shape: Vec<usize>,
-    strips: usize,
-    valid: bool,
+    /// Per strip: whether its packed streams hold the current words.
+    /// Empty until the first pack (every strip stale).
+    current: Vec<bool>,
+    /// Strip streams packed so far, summed over groups (monotonic).
+    packed: u64,
 }
 
 impl CoeffStreams {
-    /// An empty, invalid cache: the first run packs it.
+    /// An empty cache: the first run packs every strip.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Drops the cached streams; the next run repacks from the lane
+    /// Drops every cached stream; the next run repacks from the lane
     /// mirror's then-current coefficient values.
     pub fn invalidate(&mut self) {
-        self.valid = false;
+        self.current.clear();
     }
 
-    /// Repacks every kernelized strip's stream unless the cache is
-    /// valid for exactly these kernels and group shapes.
+    /// Drops the cached streams of the strips in `kernels` that read a
+    /// coefficient from the lane words `words` (see
+    /// [`StripKernels::reads_coeff_words`]); the others stay valid.
+    pub fn invalidate_words(
+        &mut self,
+        kernels: &[Option<StripKernels>],
+        words: std::ops::Range<usize>,
+    ) {
+        for (current, kernel) in self.current.iter_mut().zip(kernels) {
+            if kernel
+                .as_ref()
+                .is_some_and(|k| k.reads_coeff_words(words.clone()))
+            {
+                *current = false;
+            }
+        }
+    }
+
+    /// Strip streams packed since the cache was created, summed over
+    /// lane groups. Monotonic; difference it around an execute to see
+    /// what that execute repacked.
+    pub fn packed_streams(&self) -> u64 {
+        self.packed
+    }
+
+    /// Repacks every kernelized strip whose stream is stale, and every
+    /// strip when the kernels or group shapes differ from the last pack.
     fn ensure(&mut self, kernels: &[Option<StripKernels>], groups: &[LaneMemory]) {
-        let current = self.valid
-            && self.strips == kernels.len()
+        let same_shape = self.current.len() == kernels.len()
             && self.shape.len() == groups.len()
             && self.shape.iter().zip(groups).all(|(&n, g)| n == g.nodes());
-        if current {
+        if !same_shape {
+            self.current.clear();
+            self.current.resize(kernels.len(), false);
+        }
+        if self.current.iter().all(|&c| c) {
             return;
         }
         self.groups.resize_with(groups.len(), Vec::new);
         for (streams, lanes) in self.groups.iter_mut().zip(groups) {
             streams.resize_with(kernels.len(), Vec::new);
-            for (buf, kernel) in streams.iter_mut().zip(kernels) {
+            for ((buf, kernel), &current) in streams.iter_mut().zip(kernels).zip(&self.current) {
+                if current {
+                    continue;
+                }
                 match kernel {
-                    Some(k) => k.pack_stream(lanes, buf),
+                    Some(k) => {
+                        k.pack_stream(lanes, buf);
+                        self.packed += 1;
+                    }
                     None => buf.clear(),
                 }
             }
         }
         self.shape = groups.iter().map(LaneMemory::nodes).collect();
-        self.strips = kernels.len();
-        self.valid = true;
+        self.current.fill(true);
     }
 }
 
@@ -1234,9 +1290,9 @@ mod tests {
     }
 
     /// The stream cache is a snapshot: reused verbatim while valid (by
-    /// design — the holder invalidates on coefficient rebinds and host
-    /// writes), repacked from current lane contents on `invalidate`,
-    /// and repacked automatically when the group shapes change.
+    /// design — the holder invalidates the words it re-gathers),
+    /// repacked from current lane contents on `invalidate`, and repacked
+    /// automatically when the group shapes change.
     #[test]
     fn coeff_streams_cache_and_invalidate() {
         let k = 2;
@@ -1273,5 +1329,37 @@ mod tests {
             "shape change must repack for the new lane count"
         );
         let _ = &mut narrow;
+    }
+
+    /// Word-range invalidation repacks exactly the strips that read the
+    /// range: a strip walking other coefficient words keeps its stream.
+    #[test]
+    fn coeff_streams_invalidate_only_the_strips_reading_the_words() {
+        let k = 2;
+        let kernels = vec![Some(compile_synthetic(k, 1, 2)), None];
+        let groups = vec![filled_lanes(k, 1, 2, 8)];
+        let sk = kernels[0].as_ref().unwrap();
+        let coeffs = coeff_base(1)..lane_words(k, 1, 2);
+        assert!(sk.reads_coeff_words(coeffs.clone()));
+        assert!(!sk.reads_coeff_words(0..coeff_base(1)));
+        assert!(!sk.reads_coeff_words(coeffs.end..coeffs.end + 4));
+
+        let mut streams = CoeffStreams::new();
+        streams.ensure(&kernels, &groups);
+        assert_eq!(
+            streams.packed_streams(),
+            1,
+            "one kernelized strip, one group"
+        );
+        streams.invalidate_words(&kernels, 0..coeff_base(1));
+        streams.ensure(&kernels, &groups);
+        assert_eq!(
+            streams.packed_streams(),
+            1,
+            "source words leave streams valid"
+        );
+        streams.invalidate_words(&kernels, coeffs.end - 1..coeffs.end);
+        streams.ensure(&kernels, &groups);
+        assert_eq!(streams.packed_streams(), 2, "the last tap word repacks");
     }
 }

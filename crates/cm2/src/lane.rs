@@ -618,6 +618,7 @@ impl LaneMirror {
     pub fn gather(&mut self, view: &LaneView, mems: &[NodeMemory]) {
         assert_eq!(mems.len(), self.nodes, "one node memory per lane");
         let moved = view.gather_words() * self.nodes;
+        let _t = cmcc_obs::trace::scope(cmcc_obs::trace::TraceOp::MirrorGather, moved as u64);
         Self::for_each_group(&mut self.groups, mems, moved, |group, mine| {
             group.gather(view, mine);
         });
@@ -633,6 +634,7 @@ impl LaneMirror {
     pub fn scatter(&mut self, view: &LaneView, mems: &mut [NodeMemory]) {
         assert_eq!(mems.len(), self.nodes, "one node memory per lane");
         let moved = view.scatter_words() * self.nodes;
+        let _t = cmcc_obs::trace::scope(cmcc_obs::trace::TraceOp::MirrorScatter, moved as u64);
         if self.groups.len() > 1 && moved >= PAR_COPY_THRESHOLD {
             std::thread::scope(|scope| {
                 let mut rest = &mut mems[..];
@@ -664,6 +666,7 @@ impl LaneMirror {
     /// views; stage buffers are recycled across executes.
     pub fn scatter_stage(&mut self, view: &LaneView, stage: &mut RegionStage) {
         let moved = view.scatter_words() * self.nodes;
+        let _t = cmcc_obs::trace::scope(cmcc_obs::trace::TraceOp::MirrorScatter, moved as u64);
         stage.shape(view, self.nodes, self.chunk);
         // Slice each range's buffer at group boundaries: group `g`'s
         // lanes own the contiguous node-major run `base*len..(base+n)*len`.
@@ -709,8 +712,9 @@ impl LaneMirror {
     }
 
     /// Like [`LaneMirror::gather_rows`], but counts the words as
-    /// (partial) gather traffic — used to re-prime individual read-only
-    /// ranges after a rebind instead of re-gathering the whole view.
+    /// (partial) gather traffic — used to re-read one read-only operand
+    /// whose node-memory image changed instead of re-gathering the
+    /// whole view.
     ///
     /// # Panics
     ///
@@ -719,10 +723,29 @@ impl LaneMirror {
     pub fn gather_rect(&mut self, mems: &[NodeMemory], rect: &RectCopy) {
         assert_eq!(mems.len(), self.nodes, "one node memory per lane");
         let moved = rect.rows * rect.cols * self.nodes;
+        let _t = cmcc_obs::trace::scope(cmcc_obs::trace::TraceOp::MirrorGather, moved as u64);
         Self::for_each_group(&mut self.groups, mems, moved, |group, mine| {
             group.gather_rows(mine, rect);
         });
         self.gathered_words += moved as u64;
+    }
+
+    /// Whether node `node`'s lane column holds, bit for bit, what `rect`
+    /// would copy from `mem` (that node's memory) — the check that a
+    /// skipped refresh skipped nothing that changed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node index or a run is out of range.
+    pub fn holds_rect(&self, mem: &NodeMemory, node: usize, rect: &RectCopy) -> bool {
+        let (g, l) = self.locate_lane(node);
+        (0..rect.rows).all(|r| {
+            let d0 = rect.dst0 + r * rect.dst_stride;
+            mem.slice(rect.src0 + r * rect.src_stride, rect.cols)
+                .iter()
+                .enumerate()
+                .all(|(k, v)| v.to_bits() == self.groups[g].lane_value(d0 + k, l).to_bits())
+        })
     }
 
     /// Copies `len` lane words starting at `src` of node `from`'s lane

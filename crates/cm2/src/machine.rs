@@ -25,6 +25,7 @@ use crate::isa::Kernel;
 use crate::kernels::{run_lockstep_groups_kernelized, CoeffStreams, StripKernels};
 use crate::lane::{LaneMirror, LaneView};
 use crate::memory::{Field, FieldAllocator, NodeMemory, OutOfMemory};
+use std::collections::HashMap;
 
 /// A simulated CM-2: `rows × cols` nodes, each with its own memory,
 /// executing identical instruction streams (SIMD).
@@ -47,11 +48,17 @@ pub struct Machine {
     grid: NodeGrid,
     nodes: Vec<NodeMemory>,
     allocator: FieldAllocator,
-    /// Generation counter bumped by every host-initiated write to node
-    /// memory (array scatter/fill). Resident execution plans compare it
-    /// against the generation they last synchronized their lane mirror
-    /// at, so a host write between executes invalidates the snapshot.
-    host_writes: u64,
+    /// The write generation of every allocated field, keyed by field
+    /// base: a machine-wide monotonic stamp taken at allocation and at
+    /// every write through [`Machine::note_write`]. Lane-resident plans
+    /// remember the stamp of each operand they copied into their mirror
+    /// and re-read exactly the operands whose stamp moved. Entries of
+    /// freed fields linger until their base is allocated again, which
+    /// re-stamps it — stamps are never reused, so a record taken
+    /// against an old field can never match a new one.
+    generations: HashMap<usize, u64>,
+    /// The last stamp handed out.
+    generation_clock: u64,
 }
 
 impl Machine {
@@ -73,23 +80,27 @@ impl Machine {
             grid,
             nodes,
             allocator,
-            host_writes: 0,
+            generations: HashMap::new(),
+            generation_clock: 0,
         })
     }
 
-    /// Records one host-initiated write to node memory. Called by the
-    /// host-side array API (scatter/fill); engine-internal stores (halo
-    /// copies, mirror scatter) do not count — they are part of plan
-    /// execution, not external mutation.
-    pub fn note_host_write(&mut self) {
-        self.host_writes += 1;
+    /// Records a write to `field`: stamps it with a fresh generation.
+    /// Every path that stores into a user array calls this once per
+    /// write — the host array API, every in-place engine for its result,
+    /// and the lane-resident scatter or its staged commit. Plan-private
+    /// fields (halo buffers, constant and literal pages, scratch) need
+    /// no stamps: only their own plan reads them.
+    pub fn note_write(&mut self, field: Field) {
+        self.generation_clock += 1;
+        self.generations.insert(field.base(), self.generation_clock);
     }
 
-    /// The host-write generation (see [`Machine::note_host_write`]).
-    /// Two equal readings bracket a span with no external mutation of
-    /// node memory.
-    pub fn host_writes(&self) -> u64 {
-        self.host_writes
+    /// The write generation of `field` (see [`Machine::note_write`]).
+    /// Two equal readings bracket a span in which nothing wrote it.
+    /// Zero for a base this machine never allocated.
+    pub fn generation(&self, field: Field) -> u64 {
+        self.generations.get(&field.base()).copied().unwrap_or(0)
     }
 
     /// The machine configuration.
@@ -114,7 +125,9 @@ impl Machine {
     ///
     /// Returns [`OutOfMemory`] when node memory is exhausted.
     pub fn alloc_field(&mut self, len: usize) -> Result<Field, OutOfMemory> {
-        self.allocator.alloc(len)
+        let field = self.allocator.alloc(len)?;
+        self.note_write(field);
+        Ok(field)
     }
 
     /// Allocates a plan-lifetime field on every node from the persistent
@@ -126,7 +139,9 @@ impl Machine {
     ///
     /// Returns [`OutOfMemory`] when node memory is exhausted.
     pub fn alloc_field_persistent(&mut self, len: usize) -> Result<Field, OutOfMemory> {
-        self.allocator.alloc_persistent(len)
+        let field = self.allocator.alloc_persistent(len)?;
+        self.note_write(field);
+        Ok(field)
     }
 
     /// Returns a persistent field to the arena.
@@ -589,6 +604,30 @@ mod tests {
         let m = machine();
         assert_eq!(m.node_count(), 4);
         assert_eq!(m.grid().rows(), 2);
+    }
+
+    /// Write generations: every allocation and every noted write takes
+    /// a fresh stamp, per field, and a base allocated again after a
+    /// release never reuses an old stamp.
+    #[test]
+    fn write_generations_are_per_field_and_never_reused() {
+        let mut m = machine();
+        let mark = m.alloc_mark();
+        let a = m.alloc_field(8).unwrap();
+        let b = m.alloc_field(8).unwrap();
+        let (ga, gb) = (m.generation(a), m.generation(b));
+        assert!(ga > 0 && gb > ga, "allocation stamps each field");
+        m.note_write(b);
+        assert_eq!(m.generation(a), ga, "a write to b leaves a alone");
+        assert!(m.generation(b) > gb);
+        let seen = m.generation(b);
+        m.release_to(mark);
+        let again = m.alloc_field(8).unwrap();
+        assert_eq!(again.base(), a.base());
+        assert!(
+            m.generation(again) > seen,
+            "a reallocated base is restamped"
+        );
     }
 
     #[test]

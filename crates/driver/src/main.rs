@@ -838,7 +838,7 @@ fn pair_slices(threads: &[cmcc_obs::trace::ThreadTrace], since_ns: u64) -> Vec<S
 /// The operations the `latency.phases` JSON object keys, in schema
 /// order (compile phases are excluded — the report's `compile` object
 /// already times them).
-const LATENCY_PHASES: [cmcc_obs::trace::TraceOp; 10] = [
+const LATENCY_PHASES: [cmcc_obs::trace::TraceOp; 12] = [
     cmcc_obs::trace::TraceOp::PlanBuild,
     cmcc_obs::trace::TraceOp::PlanRebind,
     cmcc_obs::trace::TraceOp::Execute,
@@ -849,6 +849,8 @@ const LATENCY_PHASES: [cmcc_obs::trace::TraceOp; 10] = [
     cmcc_obs::trace::TraceOp::RegionCommit,
     cmcc_obs::trace::TraceOp::LeaseAcquire,
     cmcc_obs::trace::TraceOp::LeaseHeld,
+    cmcc_obs::trace::TraceOp::MirrorGather,
+    cmcc_obs::trace::TraceOp::MirrorScatter,
 ];
 
 /// Per-operation duration histograms over a slice set.

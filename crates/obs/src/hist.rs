@@ -124,7 +124,10 @@ impl Histogram {
 
     /// The bucket-exact `p`-th percentile (`0 < p ≤ 100`): the
     /// representative ([`quantize`](Histogram::quantize)) of the bucket
-    /// containing the rank-⌈p/100·n⌉ sample, or 0 when empty.
+    /// containing the rank-⌈p/100·n⌉ sample, clamped to the exact
+    /// [`max`](Histogram::max) — a representative rounds up, and no
+    /// percentile may report more than the largest sample. 0 when
+    /// empty.
     pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -135,10 +138,10 @@ impl Histogram {
         for (slot, &c) in self.counts.iter().enumerate() {
             cum += c;
             if cum >= rank {
-                return Self::value_at(slot);
+                return Self::value_at(slot).min(self.max);
             }
         }
-        Self::quantize(self.max)
+        self.max
     }
 
     /// Renders the histogram's summary as a fixed-key JSON object:
@@ -160,10 +163,10 @@ mod tests {
     use super::*;
 
     /// The oracle the driver and tests share: sort, take the
-    /// rank-⌈p/100·n⌉ sample, quantize it.
+    /// rank-⌈p/100·n⌉ sample, quantize it, clamp it to the maximum.
     fn oracle(sorted: &[u64], p: f64) -> u64 {
         let rank = (((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize).min(sorted.len());
-        Histogram::quantize(sorted[rank - 1])
+        Histogram::quantize(sorted[rank - 1]).min(*sorted.last().unwrap())
     }
 
     #[test]
@@ -209,6 +212,23 @@ mod tests {
         }
         assert_eq!(h.count(), 5000);
         assert_eq!(h.max(), *samples.last().unwrap());
+    }
+
+    /// A lone outlier in a wide bucket: its bucket's representative
+    /// lies above it, but the tail percentiles report the exact sample.
+    #[test]
+    fn percentiles_never_exceed_the_max() {
+        let mut h = Histogram::new();
+        for _ in 0..99 {
+            h.record(1_000);
+        }
+        let outlier = 33_606_472;
+        assert!(Histogram::quantize(outlier) > outlier, "the bucket is wide");
+        h.record(outlier);
+        assert_eq!(h.max(), outlier);
+        assert_eq!(h.percentile(99.0), Histogram::quantize(1_000));
+        assert_eq!(h.percentile(99.5), outlier);
+        assert_eq!(h.percentile(100.0), outlier);
     }
 
     #[test]

@@ -109,10 +109,18 @@ pub enum TraceOp {
     /// One served statement (per-tenant execute lifetime): emitted as a
     /// thread slice and, with `arg` = tenant id, as an async track pair.
     Statement,
+    /// A copy from node memory into a lane mirror: the priming gather
+    /// or one re-gathered operand. `arg` on the begin event is the
+    /// machine-total words copied.
+    MirrorGather,
+    /// A copy of a lane mirror's writable ranges back toward node
+    /// memory: a direct scatter or the transpose into a region stage.
+    /// `arg` on the begin event is the machine-total words copied.
+    MirrorScatter,
 }
 
 /// Number of [`TraceOp`] variants.
-pub const TRACE_OP_COUNT: usize = TraceOp::Statement as usize + 1;
+pub const TRACE_OP_COUNT: usize = TraceOp::MirrorScatter as usize + 1;
 
 impl TraceOp {
     /// All operations, in schema order.
@@ -132,6 +140,8 @@ impl TraceOp {
         TraceOp::LeaseAcquire,
         TraceOp::LeaseHeld,
         TraceOp::Statement,
+        TraceOp::MirrorGather,
+        TraceOp::MirrorScatter,
     ];
 
     /// The operation's stable event name.
@@ -152,6 +162,8 @@ impl TraceOp {
             TraceOp::LeaseAcquire => "lease_acquire",
             TraceOp::LeaseHeld => "lease_held",
             TraceOp::Statement => "statement",
+            TraceOp::MirrorGather => "mirror_gather",
+            TraceOp::MirrorScatter => "mirror_scatter",
         }
     }
 

@@ -147,7 +147,7 @@ impl CmArray {
     ///
     /// Panics if out of bounds.
     pub fn set(&self, machine: &mut Machine, r: usize, c: usize, value: f32) {
-        machine.note_host_write();
+        machine.note_write(self.field);
         let (node, lr, lc) = self.locate(machine, r, c);
         let addr = self.field.addr(lr * self.sub_cols + lc);
         machine.mem_mut(node).write(addr, value);
@@ -164,7 +164,7 @@ impl CmArray {
             self.rows * self.cols,
             "host buffer length mismatch"
         );
-        machine.note_host_write();
+        machine.note_write(self.field);
         let grid = machine.grid();
         for (node, mem) in machine.par_nodes_mut() {
             let (gr, gc) = grid.coords(node);
@@ -196,7 +196,7 @@ impl CmArray {
 
     /// Fills every element with `value`.
     pub fn fill(&self, machine: &mut Machine, value: f32) {
-        machine.note_host_write();
+        machine.note_write(self.field);
         for (_, mem) in machine.par_nodes_mut() {
             mem.fill_field(self.field, value);
         }

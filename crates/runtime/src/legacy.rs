@@ -221,6 +221,7 @@ pub fn convolve_per_call(
                 });
             }
         }
+        machine.note_write(result.field());
         for run in machine.run_schedule_all(&schedule, opts.mode, opts.threads)? {
             compute += run.cycles;
             frontend += u64::from(cfg.frontend_dispatch_cycles);

@@ -37,7 +37,7 @@ use cmcc_cm2::exec::{ExecEngine, ExecMode, FieldLayout, ResolvedStrip, StripCont
 use cmcc_cm2::kernels::{run_lockstep_groups_kernelized, CoeffStreams, StripKernels};
 use cmcc_cm2::lane::{LaneMirror, LaneView, RectCopy, RegionStage};
 use cmcc_cm2::machine::Machine;
-use cmcc_cm2::memory::{Field, NodeMemory};
+use cmcc_cm2::memory::Field;
 use cmcc_cm2::timing::{CycleBreakdown, Measurement};
 use cmcc_core::compiler::CompiledStencil;
 use cmcc_core::recognize::CoeffSpec;
@@ -272,7 +272,7 @@ struct TemporalPlan {
 /// The mutable half of an execution plan: one tenant's binding and
 /// execution state over a shared [`CompiledPlan`] — the rebased strip
 /// schedule, the lane view over the tenant's arrays, the persistent lane
-/// mirror with its primed/stale flags, and the packed coefficient
+/// mirror with a record of what it holds, and the packed coefficient
 /// streams.
 ///
 /// Instances are cheap to create (no machine allocation — they reuse the
@@ -309,55 +309,47 @@ pub struct PlanInstance {
     lane_resident: bool,
     /// The instance-owned persistent lane mirror. Shaped on first
     /// execute, recycled afterwards (zero steady-state allocations);
-    /// contents are invalidated — not freed — by rebind via
-    /// `lane_primed`. Poolable across instances via
-    /// [`ExecutionPlan::take_mirror`] / [`ExecutionPlan::install_mirror`].
+    /// `held_operands` and `held_interiors` record what it holds.
+    /// Poolable across instances via [`ExecutionPlan::take_mirror`] /
+    /// [`ExecutionPlan::install_mirror`].
     lane_mirror: LaneMirror,
     /// The halo exchange translated onto the mirror — one per source,
-    /// then (temporal plans) one per coefficient halo. Empty unless
-    /// `lane_resident`.
+    /// then (temporal plans) one per coefficient halo. Translated by the
+    /// first binding that can be resident and kept across rebinds (it
+    /// touches only plan-owned halo buffers); empty before that.
     lane_exchanges: Vec<LaneExchangeProgram>,
     /// Interior refresh on the mirror (the lane-domain `fill_interior`),
     /// parallel to `lane_exchanges`: sources first, then (temporal
     /// plans) the bound named-coefficient arrays into their halos.
     /// Empty unless `lane_resident`.
-    lane_interiors: Vec<RectCopy>,
+    lane_interiors: Vec<MirrorCopy>,
     /// The scratch-buffer boundary fix-ups translated onto the mirror,
-    /// parallel to the shared plan's `TemporalPlan::scratch_fills`.
-    /// Empty unless `lane_resident` on a temporal plan.
+    /// parallel to the shared plan's `TemporalPlan::scratch_fills`;
+    /// translated and kept together with `lane_exchanges` (empty for
+    /// classic plans).
     lane_scratch_fills: Vec<LaneFillProgram>,
-    /// Whether the mirror currently holds the bound operands. Set by the
-    /// priming gather of the first execute after build.
-    lane_primed: bool,
-    /// Whether a rebind left the mirror's read-only non-halo ranges
-    /// (constants, literal pages, named coefficients) possibly stale.
-    /// The next execute re-gathers just `lane_reprime` — halo contents
-    /// are redefined by the interior refresh + exchange every iteration
-    /// and the result range is fully overwritten by the kernels, so
-    /// neither needs the full priming gather again.
-    lane_stale: bool,
-    /// The read-only non-halo ranges as single-run rectangle copies, for
-    /// the partial re-prime above. Recomputed by rebind (bases move).
-    lane_reprime: Vec<RectCopy>,
-    /// Whether the mirror's source interiors and halos already hold this
-    /// binding's current values. While true, steady-state executes skip
-    /// the interior refresh and the halo exchange entirely: sources are
-    /// read-only, the kernels write only the result range, and the
-    /// scatter writes only writable node ranges, so the refreshed state
-    /// is a fixed point. Cleared by rebinds that move a base and by host
-    /// writes (detected via [`Machine::host_writes`]).
-    lane_halos_current: bool,
-    /// The [`Machine::host_writes`] generation the mirror was last
-    /// synchronized at. A newer generation at execute time means the
-    /// host mutated node memory since — the snapshot is re-read.
-    lane_synced_writes: u64,
+    /// The view's read-only ranges outside the halo buffers, each
+    /// copied straight into the mirror: the constant pair, the literal
+    /// pages and (classic plans) the named coefficient arrays. Empty
+    /// without a lane view; rebind recomputes it (bases move).
+    lane_operands: Vec<MirrorCopy>,
+    /// What the mirror holds of each `lane_operands` entry, `None` when
+    /// it holds nothing yet. An execute re-gathers exactly the entries
+    /// whose record differs from the bound field's current base and
+    /// write generation; all `None` means the mirror is unprimed.
+    held_operands: Vec<Option<Held>>,
+    /// What the mirror's halo interiors hold, parallel to
+    /// `lane_interiors`: an execute refreshes and exchanges exactly the
+    /// halos whose record differs from the bound array's current base
+    /// and write generation.
+    held_interiors: Vec<Option<Held>>,
     /// The packed coefficient streams the kernel tier reads (the
     /// paper's §4 access-order coefficient layout), cached across
     /// executes — one per fused inner step (a single entry for classic
     /// plans; the stream cache is keyed on a step's kernel list, so
-    /// steps cannot share one). Invalidated when a rebind moves a
-    /// coefficient base, when strips are retranslated, and when the
-    /// host writes node memory; result/source-only rebinds keep it.
+    /// steps cannot share one). Every mirror range an execute re-reads
+    /// invalidates the strips that read it; retranslated strips
+    /// invalidate everything.
     lane_streams: Vec<CoeffStreams>,
     result: CmArray,
     sources: Vec<CmArray>,
@@ -371,7 +363,7 @@ pub struct PlanInstance {
 /// Internally an `ExecutionPlan` is a shared immutable [`CompiledPlan`]
 /// (held through an [`Arc`], so cloned plans and concurrent tenants share
 /// one compiled artifact) plus a private mutable [`PlanInstance`] (this
-/// plan's binding, lane mirror, and primed/stale state).
+/// plan's binding, lane mirror, and the record of what the mirror holds).
 ///
 /// Build once with [`ExecutionPlan::build`], run any number of times with
 /// [`ExecutionPlan::execute`], retarget to other same-shape arrays with
@@ -942,222 +934,254 @@ impl CompiledPlan {
 impl PlanInstance {
     /// Creates the per-tenant state for `cp` bound to the given arrays:
     /// rebases the shared schedule onto this binding, recomputes the
-    /// lane view over these arrays, and retranslates the resident
-    /// exchange/interior programs. Performs no machine allocation.
-    ///
-    /// `populate_reprime` selects whether the partial re-prime rectangle
-    /// list is computed up front (instances attached to an existing
-    /// artifact) or left empty exactly as a fresh build leaves it (the
-    /// build path — the first execute primes the whole mirror, and a
-    /// rebind populates the list).
+    /// lane view over these arrays, and translates the resident
+    /// exchange/interior programs. Performs no machine allocation. The
+    /// mirror starts out holding nothing: the first execute primes it.
     fn for_binding(
         cp: &CompiledPlan,
         result: &CmArray,
         sources: &[CmArray],
         coeffs: &[CmArray],
-        populate_reprime: bool,
     ) -> Self {
-        // Rebase the shared schedule onto this binding. Same-shape
-        // arrays differ only in their base addresses, so the deltas
-        // against the build binding are all a rebind would apply.
-        let result_delta = result.field().base() as i64 - cp.result.field().base() as i64;
+        // Start from the build binding the shared schedule was resolved
+        // against; `bind` rebases from there.
+        let mut inst = PlanInstance {
+            strips: cp.strips.clone(),
+            lane_strips_override: None,
+            kernel_tier: true,
+            lane_view: None,
+            lane_resident: false,
+            lane_mirror: LaneMirror::new(),
+            lane_exchanges: Vec::new(),
+            lane_interiors: Vec::new(),
+            lane_scratch_fills: Vec::new(),
+            lane_operands: Vec::new(),
+            held_operands: Vec::new(),
+            held_interiors: Vec::new(),
+            lane_streams: (0..cp.temporal_depth())
+                .map(|_| CoeffStreams::new())
+                .collect(),
+            result: cp.result,
+            sources: cp.sources.clone(),
+            coeffs: cp.coeffs.clone(),
+        };
+        let sources: Vec<&CmArray> = sources.iter().collect();
+        let coeffs: Vec<&CmArray> = coeffs.iter().collect();
+        inst.bind(cp, result, &sources, &coeffs);
+        inst
+    }
+
+    /// Points the instance at new arrays of the compiled shape: rebases
+    /// the node-domain schedule by the base deltas, recomputes the lane
+    /// view (or falls back to the scalar path when the arrays alias),
+    /// and retargets the mirror copies at the new bases. The held
+    /// records are kept — the next execute compares them with the new
+    /// fields and re-reads just the operands that differ — and so are
+    /// the lane exchange programs and scratch fix-ups: they move words
+    /// between plan-owned halo and scratch buffers at lane addresses,
+    /// which depend only on range lengths and order, so no binding can
+    /// change them.
+    fn bind(
+        &mut self,
+        cp: &CompiledPlan,
+        result: &CmArray,
+        sources: &[&CmArray],
+        coeffs: &[&CmArray],
+    ) {
+        let result_delta = result.field().base() as i64 - self.result.field().base() as i64;
         let mut coeff_deltas = vec![0i64; cp.coeff_slot_count];
         let mut any_coeff = false;
-        for ((&slot, old), new) in cp.named_slots.iter().zip(&cp.coeffs).zip(coeffs) {
+        for ((&slot, old), new) in cp.named_slots.iter().zip(&self.coeffs).zip(coeffs) {
             let delta = new.field().base() as i64 - old.field().base() as i64;
             coeff_deltas[slot as usize] = delta;
             any_coeff |= delta != 0;
         }
-        let mut strips = cp.strips.clone();
         if result_delta != 0 || any_coeff {
-            for strip in &mut strips {
+            for strip in &mut self.strips {
                 strip.rebase(result_delta, &coeff_deltas);
             }
         }
+        self.result = *result;
+        self.sources.clear();
+        self.sources.extend(sources.iter().map(|s| **s));
+        self.coeffs.clear();
+        self.coeffs.extend(coeffs.iter().map(|c| **c));
 
         // The lane view is per-binding (gather/scatter bases move with
         // the arrays), but lane *addresses* depend only on range lengths
-        // and order, so the shared translation is reused whenever the
-        // artifact has one. A private translation is built only when the
-        // artifact was compiled from an aliased binding (no shared lane
-        // strips) and this binding is clean.
-        let mut lane_view = None;
-        let mut lane_strips_override = None;
+        // and order, so a translation, once made, stays valid: the
+        // shared one whenever the artifact has it, else a private one,
+        // made only when the artifact was compiled from an aliased
+        // binding (no shared lane strips) and this binding is clean. A
+        // rebind can also turn the lockstep path off (the new binding
+        // aliases arrays) or back on.
+        self.lane_view = None;
         if cp.opts.mode == ExecMode::Fast && cp.opts.engine == ExecEngine::Lockstep {
-            if let Some(view) = instance_lane_view(cp, sources, coeffs, result) {
-                if cp.lane_strips.len() == strips.len() {
-                    lane_view = Some(view);
-                } else if let Some(translated) = strips
+            if let Some(view) = instance_lane_view(cp, &self.sources, &self.coeffs, &self.result) {
+                let lane_len = self
+                    .lane_strips_override
+                    .as_ref()
+                    .map_or(cp.lane_strips.len(), |(s, _)| s.len());
+                if lane_len == self.strips.len() {
+                    self.lane_view = Some(view);
+                } else if let Some(translated) = self
+                    .strips
                     .iter()
                     .map(|s| s.translate(&view))
                     .collect::<Option<Vec<_>>>()
                 {
                     let kernels = translated.iter().map(StripKernels::compile).collect();
-                    lane_strips_override = Some((translated, kernels));
-                    lane_view = Some(view);
+                    self.lane_strips_override = Some((translated, kernels));
+                    for streams in &mut self.lane_streams {
+                        streams.invalidate();
+                    }
+                    self.lane_view = Some(view);
                 }
             }
         }
 
-        let mut lane_exchanges = Vec::new();
-        let mut lane_interiors = Vec::new();
-        let mut lane_scratch_fills = Vec::new();
-        let mut lane_resident = false;
-        let mut lane_reprime = Vec::new();
-        if cp.opts.lane_resident {
-            if let Some(view) = &lane_view {
-                if let Some(programs) = resident_programs(cp, view, sources, coeffs) {
-                    lane_exchanges = programs.exchanges;
-                    lane_interiors = programs.interiors;
-                    lane_scratch_fills = programs.scratch_fills;
-                    lane_resident = true;
-                    // Temporal plans have nothing to re-prime: the view's
-                    // read-only non-halo ranges are all plan-owned, and
-                    // coefficient-halo contents flow through the interior
-                    // refresh, never through a node-memory gather.
-                    if populate_reprime && cp.temporal.is_none() {
-                        lane_reprime = reprime_copies(view, cp.halos.len());
+        self.lane_resident = false;
+        self.lane_interiors.clear();
+        self.lane_operands.clear();
+        if let Some(view) = &self.lane_view {
+            self.lane_operands = mirror_operands(cp, view, &self.coeffs);
+            if cp.opts.lane_resident {
+                if self.lane_exchanges.is_empty() {
+                    if let Some((exchanges, scratch_fills)) = lane_programs(cp, view) {
+                        self.lane_exchanges = exchanges;
+                        self.lane_scratch_fills = scratch_fills;
+                    }
+                }
+                if !self.lane_exchanges.is_empty() {
+                    if let Some(interiors) = lane_interiors(cp, view, &self.sources, &self.coeffs) {
+                        self.lane_interiors = interiors;
+                        self.lane_resident = true;
                     }
                 }
             }
         }
-
-        PlanInstance {
-            strips,
-            lane_strips_override,
-            kernel_tier: true,
-            lane_view,
-            lane_resident,
-            lane_mirror: LaneMirror::new(),
-            lane_exchanges,
-            lane_interiors,
-            lane_scratch_fills,
-            lane_primed: false,
-            lane_stale: false,
-            lane_reprime,
-            lane_halos_current: false,
-            lane_synced_writes: 0,
-            lane_streams: (0..cp.temporal_depth())
-                .map(|_| CoeffStreams::new())
-                .collect(),
-            result: *result,
-            sources: sources.to_vec(),
-            coeffs: coeffs.to_vec(),
-        }
+        // Without a lane view the mirror sits idle; records for ranges
+        // that no longer exist are dropped (the mirror is primed again).
+        self.held_operands.resize(self.lane_operands.len(), None);
+        self.held_interiors.resize(self.lane_interiors.len(), None);
     }
 
-    /// Folds a host-write generation bump into the instance's cached
-    /// node-memory snapshots: a host write since the last execute (array
-    /// scatter/fill/set) invalidates the packed coefficient streams, and
-    /// on the resident path the source fixed point is re-read and the
-    /// read-only non-halo ranges are re-primed, as a rebind would.
-    fn sync_host_writes(&mut self, host_writes: u64) {
-        if self.lane_view.is_some() && self.lane_synced_writes != host_writes {
-            self.lane_synced_writes = host_writes;
-            for streams in &mut self.lane_streams {
-                streams.invalidate();
-            }
-            self.lane_halos_current = false;
-            if self.lane_primed {
-                self.lane_stale = true;
-            }
-        }
+    /// Forgets what the mirror holds: the next execute primes it again.
+    fn forget_mirror(&mut self) {
+        self.held_operands.fill(None);
+        self.held_interiors.fill(None);
     }
 
-    /// The lane-resident execute body, shared between the exclusive
-    /// write-lock path and the region-leased shared-lock path — the two
-    /// differ only in how the final scatter reaches node memory (see
-    /// [`ResidentAccess`]). Returns the kernel run plus the modeled
-    /// exchange cycles and the halo words this execute actually moved.
-    fn run_resident(
-        &mut self,
-        cp: &CompiledPlan,
-        access: ResidentAccess<'_, '_>,
-    ) -> (StripRun, u64, usize) {
-        let depth = cp.temporal_depth();
-        let mut exchange_words = 0usize;
-        let mut comm = 0u64;
-        // The effective lane schedule: the instance's private
-        // translation when the shared artifact has none (it was built
-        // from an aliased binding and this binding is clean), else the
-        // shared one.
-        let (lane_strips, lane_kernels) = match &self.lane_strips_override {
-            Some((s, k)) => (s.as_slice(), k.as_slice()),
-            None => (cp.lane_strips.as_slice(), cp.lane_kernels.as_slice()),
-        };
-        // Lane-resident steady state: operands live in the plan's
-        // mirror between executes. Read-only ranges were gathered
-        // when the mirror was primed; the source interiors and the
-        // halo exchange are refreshed once and then treated as a
-        // fixed point — sources are read-only, the kernels write
-        // only the result range, and the scatter writes only
-        // writable node ranges, so nothing the refresh produced can
-        // change until a rebind moves a base or the host writes
-        // node memory (tracked by `Machine::host_writes`). Only
-        // writable ranges are scattered back each iteration.
+    /// Brings the lane-resident mirror up to date with node memory and
+    /// returns the modeled exchange cycles, the halo words moved, and a
+    /// summary of what was re-read. The rule is one comparison per
+    /// bound operand: a record that still matches the field's base and
+    /// write generation means the mirror's copy is current and is
+    /// skipped; anything else is re-read, and the coefficient streams
+    /// reading the re-read range are repacked. An unprimed mirror takes
+    /// one full gather first.
+    fn sync_mirror(&mut self, cp: &CompiledPlan, machine: &Machine) -> (u64, usize, MirrorSync) {
+        let (_, mems) = machine.exec_parts();
         let view = self
             .lane_view
             .as_ref()
             .expect("resident plans are lane-mapped");
         self.lane_mirror
             .ensure(view.words(), cp.nodes, cp.opts.threads);
-        let mems: &[NodeMemory] = match &access {
-            ResidentAccess::Exclusive(m) => m,
-            ResidentAccess::Shared(m, _) => m,
+        let (_, kernels) = lane_schedule(&self.lane_strips_override, cp);
+        let streams = &mut self.lane_streams;
+        let invalidate = |streams: &mut Vec<CoeffStreams>, words: std::ops::Range<usize>| {
+            for (step, cache) in streams.iter_mut().enumerate() {
+                let (lo, hi) = step_bounds(cp, step, kernels.len());
+                cache.invalidate_words(&kernels[lo..hi], words.clone());
+            }
         };
-        if !self.lane_primed {
+        let mut sync = MirrorSync::default();
+        let prime = self.held_operands.iter().all(Option::is_none);
+        if prime {
             self.lane_mirror.gather(view, mems);
-            self.lane_primed = true;
-            self.lane_stale = false;
-        } else if self.lane_stale {
-            // Partial re-prime after a rebind: only the read-only
-            // non-halo ranges can hold stale contents (see the
-            // `lane_stale` field). Far cheaper than a full gather —
-            // this is what keeps plan-cache hits in steady state.
-            for rect in &self.lane_reprime {
-                self.lane_mirror.gather_rect(mems, rect);
+            for s in streams.iter_mut() {
+                s.invalidate();
             }
-            self.lane_stale = false;
+            sync.others += 1;
         }
-        let refreshed = !self.lane_halos_current;
-        for (interior, exchange) in self.lane_interiors.iter().zip(&self.lane_exchanges) {
-            // The modeled NEWS cycles are charged every iteration —
-            // the CM-2 exchanges every time. Skipping the host-side
-            // copies is an emulator fixed-point optimization and
-            // must not perturb the `Measurement`.
-            comm += exchange.cycles();
-            if !self.lane_halos_current {
-                {
-                    let _t = cmcc_obs::trace::scope(
-                        cmcc_obs::trace::TraceOp::InteriorRefresh,
-                        (interior.rows * interior.cols) as u64,
-                    );
-                    self.lane_mirror.gather_rows(mems, interior);
+        for (copy, held) in self.lane_operands.iter().zip(&mut self.held_operands) {
+            let now = Held::of(machine, copy.field);
+            if *held != Some(now) {
+                if !prime {
+                    self.lane_mirror.gather_rect(mems, &copy.rect);
+                    invalidate(streams, copy.lanes.clone());
+                    sync.others += 1;
                 }
-                exchange_words += exchange.words_moved();
-                let _ = exchange.run(&mut self.lane_mirror);
+                *held = Some(now);
+            } else {
+                debug_assert!(
+                    self.lane_mirror.holds_rect(&mems[0], 0, &copy.rect),
+                    "a bound operand changed without a new write generation"
+                );
             }
         }
-        self.lane_halos_current = true;
-        if refreshed
-            && cp
-                .temporal
-                .as_ref()
-                .is_some_and(|tp| !tp.coeff_halos.is_empty())
+        let mut comm = 0u64;
+        let mut exchange_words = 0usize;
+        for (i, ((copy, held), exchange)) in self
+            .lane_interiors
+            .iter()
+            .zip(&mut self.held_interiors)
+            .zip(&self.lane_exchanges)
+            .enumerate()
         {
-            // The refresh rewrote the coefficient halos on the
-            // mirror; the packed streams hold the old values.
-            for streams in &mut self.lane_streams {
-                streams.invalidate();
+            // The modeled NEWS cycles are charged every iteration — the
+            // CM-2 exchanges every time. Skipping the host-side copies of
+            // an unchanged source must not perturb the `Measurement`.
+            comm += exchange.cycles();
+            let now = Held::of(machine, copy.field);
+            if *held == Some(now) {
+                debug_assert!(
+                    self.lane_mirror.holds_rect(&mems[0], 0, &copy.rect),
+                    "an array feeding a halo changed without a new write generation"
+                );
+                continue;
+            }
+            {
+                let _t = cmcc_obs::trace::scope(
+                    cmcc_obs::trace::TraceOp::InteriorRefresh,
+                    (copy.rect.rows * copy.rect.cols) as u64,
+                );
+                self.lane_mirror.gather_rows(mems, &copy.rect);
+            }
+            exchange_words += exchange.words_moved();
+            let _ = exchange.run(&mut self.lane_mirror);
+            *held = Some(now);
+            // The refresh and exchange rewrote the whole halo buffer: a
+            // temporal plan's coefficient halos feed packed streams.
+            invalidate(streams, copy.lanes.clone());
+            if i < cp.halos.len() {
+                sync.sources += 1;
+            } else {
+                sync.others += 1;
             }
         }
+        (comm, exchange_words, sync)
+    }
+
+    /// The lane-resident execute body, shared between the exclusive
+    /// write-lock path and the region-leased shared-lock path: brings
+    /// the mirror up to date and runs every fused step's kernels on it.
+    /// Node memory is only read here; the callers differ in how the
+    /// writable ranges reach it afterwards (a direct scatter or a
+    /// staged one). Returns the kernel run, the modeled exchange
+    /// cycles, the halo words this execute moved, and what it re-read.
+    fn run_resident(
+        &mut self,
+        cp: &CompiledPlan,
+        machine: &Machine,
+    ) -> (StripRun, u64, usize, MirrorSync) {
+        let (comm, exchange_words, sync) = self.sync_mirror(cp, machine);
+        let (lane_strips, lane_kernels) = lane_schedule(&self.lane_strips_override, cp);
         let kernels: &[Option<StripKernels>] = if self.kernel_tier { lane_kernels } else { &[] };
         let mut run = StripRun::default();
-        for step in 0..depth {
-            let (lo, hi) = match &cp.temporal {
-                Some(tp) => (tp.step_bounds[step], tp.step_bounds[step + 1]),
-                None => (0, lane_strips.len()),
-            };
+        for step in 0..cp.temporal_depth() {
+            let (lo, hi) = step_bounds(cp, step, lane_strips.len());
             let step_kernels = if kernels.is_empty() {
                 kernels
             } else {
@@ -1170,77 +1194,20 @@ impl PlanInstance {
                 &mut self.lane_streams[step],
                 self.lane_mirror.groups_mut(),
             ));
-            if step + 1 < depth {
+            if step + 1 < cp.temporal_depth() {
                 self.lane_scratch_fills[step % 2].run(&mut self.lane_mirror);
             }
         }
-        match access {
-            ResidentAccess::Exclusive(mems) => {
-                // In debug builds, prove the scatter honors the view's
-                // read-only ranges (node 0 stands in for all — SIMD).
-                #[cfg(debug_assertions)]
-                let before: Vec<u32> = view
-                    .ranges()
-                    .iter()
-                    .filter(|r| !r.writable || r.private)
-                    .flat_map(|r| {
-                        mems[0]
-                            .slice(r.node_base, r.len)
-                            .iter()
-                            .map(|v| v.to_bits())
-                    })
-                    .collect();
-                self.lane_mirror.scatter(view, mems);
-                #[cfg(debug_assertions)]
-                {
-                    let after: Vec<u32> = view
-                        .ranges()
-                        .iter()
-                        .filter(|r| !r.writable || r.private)
-                        .flat_map(|r| {
-                            mems[0]
-                                .slice(r.node_base, r.len)
-                                .iter()
-                                .map(|v| v.to_bits())
-                        })
-                        .collect();
-                    debug_assert_eq!(
-                        before, after,
-                        "scatter touched a read-only or lane-private range"
-                    );
-                }
-            }
-            ResidentAccess::Shared(_, stage) => {
-                // Node memory is a shared borrow here: transpose the
-                // writable image into the stage instead of scattering.
-                // The commit happens later, under the session's brief
-                // exclusive lock, while the lease is still held.
-                self.lane_mirror.scatter_stage(view, stage);
-                // Prove the commit will only touch writable, non-private
-                // viewed ranges — the words the execute's lease covers
-                // as writable.
-                debug_assert!(
-                    stage.ranges().iter().all(|&(base, len)| {
-                        view.ranges().iter().any(|r| {
-                            r.writable
-                                && !r.private
-                                && base >= r.node_base
-                                && base + len <= r.node_base + r.len
-                        })
-                    }),
-                    "staged scatter escaped the view's writable ranges"
-                );
-            }
-        }
-        (run, comm, exchange_words)
+        (run, comm, exchange_words, sync)
     }
 
     /// Runs one region-leased iteration over the shared artifact `cp`:
     /// node memory is borrowed *shared* (many tenants at once under the
     /// session's read lock) and the scatter is staged into `stage` for a
-    /// later exclusive commit. Only lane-resident instances may take
-    /// this path — the caller checks [`PlanInstance::lane_resident`] —
-    /// and the resident path cannot fail, so this returns a bare
+    /// later exclusive commit, which must stamp the result's write
+    /// generation. Only lane-resident instances may take this path —
+    /// the caller checks [`PlanInstance::lane_resident`] — and the
+    /// resident path cannot fail, so this returns a bare
     /// [`Measurement`].
     fn execute_region(
         &mut self,
@@ -1250,13 +1217,30 @@ impl PlanInstance {
     ) -> Measurement {
         let _span = cmcc_obs::span(cmcc_obs::Phase::Execute);
         assert!(self.lane_resident, "region executes require lane residency");
-        self.sync_host_writes(machine.host_writes());
-        let steady_at_entry = self.lane_primed && !self.lane_stale;
-        let rebind_at_entry = self.lane_primed && self.lane_stale;
         let mirror_base = MirrorWords::of(&self.lane_mirror);
-        let (_, mems) = machine.exec_parts();
-        let (run, comm, exchange_words) =
-            self.run_resident(cp, ResidentAccess::Shared(mems, stage));
+        let (run, comm, exchange_words, sync) = self.run_resident(cp, machine);
+        let view = self
+            .lane_view
+            .as_ref()
+            .expect("resident plans are lane-mapped");
+        // Node memory is a shared borrow here: transpose the writable
+        // image into the stage instead of scattering. The commit happens
+        // later, under the session's brief exclusive lock, while the
+        // lease is still held.
+        self.lane_mirror.scatter_stage(view, stage);
+        // Prove the commit will only touch writable, non-private viewed
+        // ranges — the words the execute's lease covers as writable.
+        debug_assert!(
+            stage.ranges().iter().all(|&(base, len)| {
+                view.ranges().iter().any(|r| {
+                    r.writable
+                        && !r.private
+                        && base >= r.node_base
+                        && base + len <= r.node_base + r.len
+                })
+            }),
+            "staged scatter escaped the view's writable ranges"
+        );
         self.finish(
             cp,
             ExecTally {
@@ -1265,8 +1249,7 @@ impl PlanInstance {
                 interior_words: 0,
                 exchange_words,
                 mirror_base,
-                steady_at_entry,
-                rebind_at_entry,
+                sync: Some(sync),
             },
         )
     }
@@ -1279,27 +1262,39 @@ impl PlanInstance {
         machine: &mut Machine,
     ) -> Result<Measurement, RuntimeError> {
         let _span = cmcc_obs::span(cmcc_obs::Phase::Execute);
-        self.sync_host_writes(machine.host_writes());
-        // Whether this execute is a steady-state iteration (no priming
-        // or re-priming gather): the analytic `steady_state_copy_words`
-        // prediction applies exactly, and debug builds cross-check it
-        // in `finish`.
-        let steady_at_entry = !self.lane_resident || (self.lane_primed && !self.lane_stale);
-        // A rebind (or host write) cycle: the mirror is primed but its
-        // read-only snapshot is stale. The analytic
-        // `rebind_cycle_copy_words` prediction applies exactly here.
-        let rebind_at_entry = self.lane_resident && self.lane_primed && self.lane_stale;
+        // Every engine below writes the bound result in node memory.
+        // Stamping first also covers an engine that fails part-way (a
+        // hazard); nothing can read the stamp before the write lands,
+        // because this execute holds the machine exclusively.
+        machine.note_write(self.result.field());
         let mirror_base = MirrorWords::of(&self.lane_mirror);
         let mut interior_words = 0usize;
         let mut exchange_words = 0usize;
         let mut comm = 0;
+        let mut sync = None;
         let depth = cp.temporal_depth();
         let run = if self.lane_resident {
-            let (_, mems) = machine.exec_parts_mut();
-            let (run, resident_comm, resident_exchange) =
-                self.run_resident(cp, ResidentAccess::Exclusive(mems));
+            let (run, resident_comm, resident_exchange, resident_sync) =
+                self.run_resident(cp, machine);
             comm = resident_comm;
             exchange_words = resident_exchange;
+            sync = Some(resident_sync);
+            let view = self
+                .lane_view
+                .as_ref()
+                .expect("resident plans are lane-mapped");
+            let (_, mems) = machine.exec_parts_mut();
+            // In debug builds, prove the scatter honors the view's
+            // read-only ranges (node 0 stands in for all — SIMD).
+            #[cfg(debug_assertions)]
+            let before = read_only_bits(view, &mems[0]);
+            self.lane_mirror.scatter(view, mems);
+            #[cfg(debug_assertions)]
+            debug_assert_eq!(
+                before,
+                read_only_bits(view, &mems[0]),
+                "scatter touched a read-only or lane-private range"
+            );
             run
         } else if let Some(tp) = &cp.temporal {
             // The node-domain fused loop: the fallback for temporal
@@ -1342,25 +1337,30 @@ impl PlanInstance {
                 exchange_words += program.words_moved();
                 comm += program.run(machine);
             }
-            // The effective lane schedule: the instance's private
-            // translation when the shared artifact has none, else the
-            // shared one (see `run_resident`).
-            let (lane_strips, lane_kernels) = match &self.lane_strips_override {
-                Some((s, k)) => (s.as_slice(), k.as_slice()),
-                None => (cp.lane_strips.as_slice(), cp.lane_kernels.as_slice()),
-            };
             match &self.lane_view {
                 // The lockstep engine without residency: every node
                 // gathered into lane storage per execute, each resolved
-                // step broadcast across all lanes at once.
-                Some(view) => machine.run_resolved_lockstep_all_kernelized(
-                    lane_strips,
-                    if self.kernel_tier { lane_kernels } else { &[] },
-                    &mut self.lane_streams[0],
-                    view,
-                    cp.opts.threads,
-                    &mut self.lane_mirror,
-                ),
+                // step broadcast across all lanes at once. The gather
+                // rereads every operand, but the packed streams persist:
+                // repack the strips reading an operand that changed.
+                Some(view) => {
+                    let (lane_strips, lane_kernels) = lane_schedule(&self.lane_strips_override, cp);
+                    for (copy, held) in self.lane_operands.iter().zip(&mut self.held_operands) {
+                        let now = Held::of(machine, copy.field);
+                        if *held != Some(now) {
+                            self.lane_streams[0].invalidate_words(lane_kernels, copy.lanes.clone());
+                            *held = Some(now);
+                        }
+                    }
+                    machine.run_resolved_lockstep_all_kernelized(
+                        lane_strips,
+                        if self.kernel_tier { lane_kernels } else { &[] },
+                        &mut self.lane_streams[0],
+                        view,
+                        cp.opts.threads,
+                        &mut self.lane_mirror,
+                    )
+                }
                 None => machine.run_resolved_all(&self.strips, cp.opts.mode, cp.opts.threads)?,
             }
         };
@@ -1372,8 +1372,7 @@ impl PlanInstance {
                 interior_words,
                 exchange_words,
                 mirror_base,
-                steady_at_entry,
-                rebind_at_entry,
+                sync,
             },
         ))
     }
@@ -1388,8 +1387,7 @@ impl PlanInstance {
             interior_words,
             exchange_words,
             mirror_base,
-            steady_at_entry,
-            rebind_at_entry,
+            sync,
         } = tally;
         let d = MirrorWords::of(&self.lane_mirror).minus(&mirror_base);
         cmcc_obs::add(
@@ -1416,39 +1414,37 @@ impl PlanInstance {
             cmcc_obs::add(WIDTH_COUNTERS[slot], n);
         }
 
-        // Debug builds prove the analytic prediction against observed
-        // traffic: in steady state (no priming gather) the words this
-        // execute moved are exactly `steady_state_copy_words`. Staged
-        // scatters count at stage time, so the check is path-independent.
-        if cfg!(debug_assertions) && steady_at_entry {
+        // Debug builds prove the analytic predictions against observed
+        // traffic. Staged scatters count at stage time, so the checks
+        // are path-independent. Off the resident path every execute is
+        // a steady one; on it, an execute that re-read nothing is the
+        // steady state, and one that re-read exactly the sources (a
+        // ping-pong step: the previous step wrote the new source) is
+        // the rebind cycle.
+        if cfg!(debug_assertions) {
             let observed = (interior_words + exchange_words) as u64
                 + d.row_gathered
                 + d.gathered
                 + d.scattered;
-            assert_eq!(
-                observed,
-                self.steady_copy_words(cp) as u64,
-                "steady-state copy words diverged from the analytic prediction"
-            );
-            if self.lane_resident {
+            if sync.is_none_or(|s| s.is_steady()) {
+                assert_eq!(
+                    observed,
+                    self.steady_copy_words(cp) as u64,
+                    "steady-state copy words diverged from the analytic prediction"
+                );
+            } else if sync.is_some_and(|s| s.is_source_swap(cp.halos.len())) {
+                assert_eq!(
+                    observed,
+                    self.rebind_cycle_copy_words(cp) as u64,
+                    "rebind-cycle copy words diverged from the analytic prediction"
+                );
+            }
+            if sync.is_some() {
                 assert_eq!(
                     d.lane_copied, exchange_words as u64,
                     "lane exchange moved a different word count than its program records"
                 );
             }
-        } else if cfg!(debug_assertions) && rebind_at_entry {
-            // The rebind-cycle counterpart: a primed-but-stale entry
-            // re-primes, refreshes, exchanges, and scatters — exactly
-            // the amortized traffic `rebind_cycle_copy_words` models.
-            let observed = (interior_words + exchange_words) as u64
-                + d.row_gathered
-                + d.gathered
-                + d.scattered;
-            assert_eq!(
-                observed,
-                self.rebind_cycle_copy_words(cp) as u64,
-                "rebind-cycle copy words diverged from the analytic prediction"
-            );
         }
 
         // One front-end microcode dispatch per half-strip, exactly as the
@@ -1478,112 +1474,7 @@ impl PlanInstance {
         let _span = cmcc_obs::span(cmcc_obs::Phase::PlanRebind);
         cmcc_obs::add(cmcc_obs::Counter::PlanRebinds, 1);
         cp.validate_binding("rebind", result, sources, coeffs)?;
-
-        let result_delta = result.field().base() as i64 - self.result.field().base() as i64;
-        let mut coeff_deltas = vec![0i64; cp.coeff_slot_count];
-        let mut any_coeff = false;
-        for ((&slot, old), new) in cp.named_slots.iter().zip(&self.coeffs).zip(coeffs) {
-            let delta = new.field().base() as i64 - old.field().base() as i64;
-            coeff_deltas[slot as usize] = delta;
-            any_coeff |= delta != 0;
-        }
-        let any_source = self
-            .sources
-            .iter()
-            .zip(sources)
-            .any(|(old, new)| old.field().base() != new.field().base());
-        if result_delta == 0 && !any_coeff && !any_source {
-            // Identical binding (the plan-cache hit replaying the same
-            // arrays): nothing to rebase, the lane view is unchanged,
-            // and the resident mirror stays valid — host writes are
-            // tracked separately by `execute`, so even the source
-            // fixed point survives.
-            return Ok(());
-        }
-        if result_delta != 0 || any_coeff {
-            for strip in &mut self.strips {
-                strip.rebase(result_delta, &coeff_deltas);
-            }
-        }
-        if any_coeff {
-            // The packed coefficient streams hold the *old* coefficient
-            // values; result/source-only rebinds keep them (the stream
-            // is a pure function of the coefficient bindings).
-            for streams in &mut self.lane_streams {
-                streams.invalidate();
-            }
-        }
-
-        self.result = *result;
-        self.sources.clear();
-        self.sources.extend(sources.iter().map(|s| **s));
-        self.coeffs.clear();
-        self.coeffs.extend(coeffs.iter().map(|c| **c));
-
-        // Recompute the lane view against the new arrays. The ranges keep
-        // their order and lengths (shapes were just validated), so lane
-        // addresses are unchanged and the translated strips stay valid;
-        // only the gather/scatter bases move. A rebind can also turn the
-        // lockstep path off (the new binding aliases arrays) or back on.
-        if cp.opts.mode == ExecMode::Fast && cp.opts.engine == ExecEngine::Lockstep {
-            self.lane_view = None;
-            if let Some(view) = instance_lane_view(cp, &self.sources, &self.coeffs, &self.result) {
-                let lane_len = self
-                    .lane_strips_override
-                    .as_ref()
-                    .map_or(cp.lane_strips.len(), |(s, _)| s.len());
-                if lane_len == self.strips.len() {
-                    // Lane addresses are rebind-invariant, so the kept
-                    // translation keeps its compiled kernels too.
-                    self.lane_view = Some(view);
-                } else if let Some(translated) = self
-                    .strips
-                    .iter()
-                    .map(|s| s.translate(&view))
-                    .collect::<Option<Vec<_>>>()
-                {
-                    let kernels = translated.iter().map(StripKernels::compile).collect();
-                    self.lane_strips_override = Some((translated, kernels));
-                    for streams in &mut self.lane_streams {
-                        streams.invalidate();
-                    }
-                    self.lane_view = Some(view);
-                }
-            }
-        }
-
-        // Mark the resident mirror stale: lane *addresses* survive a
-        // rebind (range lengths and order are unchanged), and of the
-        // *contents* only the read-only non-halo ranges can matter — the
-        // halo words are redefined by the next interior refresh +
-        // exchange (`lane_halos_current` is cleared below) and the
-        // result is fully overwritten — so the next execute re-primes
-        // just those (see `lane_stale`), keeping
-        // plan-cache hits in steady state. The mirror's buffers are
-        // kept; re-priming allocates nothing. Interior copies read the
-        // new source bases; the exchange programs depend only on the
-        // halo buffers, which never move, but retranslating is cheap and
-        // keeps one code path.
-        self.lane_stale = true;
-        self.lane_halos_current = false;
-        self.lane_resident = false;
-        self.lane_exchanges.clear();
-        self.lane_interiors.clear();
-        self.lane_scratch_fills.clear();
-        self.lane_reprime.clear();
-        if cp.opts.lane_resident {
-            if let Some(view) = &self.lane_view {
-                if let Some(programs) = resident_programs(cp, view, &self.sources, &self.coeffs) {
-                    self.lane_exchanges = programs.exchanges;
-                    self.lane_interiors = programs.interiors;
-                    self.lane_scratch_fills = programs.scratch_fills;
-                    self.lane_resident = true;
-                    if cp.temporal.is_none() {
-                        self.lane_reprime = reprime_copies(view, cp.halos.len());
-                    }
-                }
-            }
-        }
+        self.bind(cp, result, sources, coeffs);
         Ok(())
     }
 
@@ -1643,41 +1534,29 @@ impl PlanInstance {
         interior + exchange + mirror
     }
 
-    /// Machine-total words copied by the execute right after a tenant
-    /// swap on the lane-resident path: the re-prime gathers, the full
-    /// interior refresh, the halo exchange, and the result scatter.
-    /// Off the resident path this is the same as the steady-state
-    /// figure (every execute already pays the full refresh).
+    /// Machine-total words copied by a ping-pong execute on the
+    /// lane-resident path — result and sources swapped, so every source
+    /// was written since the mirror read it, and nothing else changed:
+    /// the source interior refreshes, their halo exchanges, and the
+    /// result scatter. Coefficients, constants and literal pages cost
+    /// nothing. Off the resident path this is the same as the
+    /// steady-state figure (every execute already pays the full
+    /// refresh).
     fn rebind_cycle_copy_words(&self, cp: &CompiledPlan) -> usize {
         if !self.lane_resident {
             return self.steady_copy_words(cp);
         }
-        let view = self.lane_view.as_ref().expect("resident plans are mapped");
-        let reprime: usize = self
-            .lane_reprime
+        let sources = cp.halos.len();
+        let interior: usize = self.lane_interiors[..sources]
             .iter()
-            .map(|r| r.rows * r.cols)
+            .map(|c| c.rect.rows * c.rect.cols)
             .sum::<usize>()
             * cp.nodes;
-        let interior: usize = self
-            .lane_interiors
-            .iter()
-            .map(|r| r.rows * r.cols)
-            .sum::<usize>()
-            * cp.nodes;
-        let exchange: usize = self
-            .lane_exchanges
+        let exchange: usize = self.lane_exchanges[..sources]
             .iter()
             .map(LaneExchangeProgram::words_moved)
             .sum();
-        let scatter = view
-            .ranges()
-            .iter()
-            .filter(|r| r.writable && !r.private)
-            .map(|r| r.len)
-            .sum::<usize>()
-            * cp.nodes;
-        reprime + interior + exchange + scatter
+        interior + exchange + self.steady_copy_words(cp)
     }
 }
 
@@ -1704,7 +1583,6 @@ impl ExecutionPlan {
             binding.result(),
             binding.sources(),
             binding.coeffs(),
-            false,
         );
         Ok(ExecutionPlan {
             shared: Arc::new(shared),
@@ -1744,7 +1622,6 @@ impl ExecutionPlan {
             binding.result(),
             binding.sources(),
             binding.coeffs(),
-            true,
         );
         Ok(ExecutionPlan {
             shared: Arc::clone(shared),
@@ -1762,11 +1639,11 @@ impl ExecutionPlan {
     /// Runs one iteration: halo exchange, pre-resolved kernel execution,
     /// and the paper's accounting. Performs no field allocation and no
     /// schedule construction; the lane-resident path (lockstep engine,
-    /// the default) additionally performs no host allocation and — once
-    /// the source fixed point is established — no `NodeMemory` traffic
-    /// beyond writing the result. Host writes to bound arrays between
-    /// executes are detected via [`Machine::host_writes`] and re-read
-    /// automatically.
+    /// the default) additionally performs no host allocation and
+    /// re-reads only the bound operands written since its mirror copied
+    /// them — every write to an array stamps its
+    /// [`Machine::generation`], whether it came from the host or from
+    /// another plan. Stamps this execute's result as written.
     ///
     /// # Errors
     ///
@@ -1795,7 +1672,9 @@ impl ExecutionPlan {
     ///
     /// Results, [`Measurement`]s, and telemetry are bit-identical to
     /// [`ExecutionPlan::execute`] (staged words count as scatter words
-    /// at stage time; the commit itself counts nothing).
+    /// at stage time; the commit itself counts nothing). The commit must
+    /// stamp the result with [`Machine::note_write`], as `execute` does,
+    /// so that plans reading it see the write.
     ///
     /// # Panics
     ///
@@ -1854,9 +1733,12 @@ impl ExecutionPlan {
 
     /// Retargets the plan to different arrays of identical shape without
     /// rebuilding anything: source swaps are free (sources are read
-    /// through the plan's own halo buffers each iteration) and
-    /// result/coefficient swaps are a single in-place rebase of the
-    /// resolved addresses.
+    /// through the plan's own halo buffers) and result/coefficient swaps
+    /// are a single in-place rebase of the resolved addresses. The lane
+    /// mirror is not touched: the next execute compares what it holds
+    /// with the new arrays' bases and write generations and re-reads
+    /// just the operands that differ, so a ping-pong swap re-reads the
+    /// source and leaves unchanged coefficients in place.
     ///
     /// This is what makes ping-pong time stepping (`swap(cur, next)`) and
     /// volume sweeps reuse one plan.
@@ -1899,9 +1781,7 @@ impl ExecutionPlan {
     /// The plan falls back to an unprimed (but still valid) state: its
     /// next execute re-shapes whatever mirror it holds and primes it.
     pub fn take_mirror(&mut self) -> LaneMirror {
-        self.inst.lane_primed = false;
-        self.inst.lane_stale = false;
-        self.inst.lane_halos_current = false;
+        self.inst.forget_mirror();
         std::mem::take(&mut self.inst.lane_mirror)
     }
 
@@ -1911,9 +1791,7 @@ impl ExecutionPlan {
     /// across tenants; contents are treated as garbage and re-primed.
     pub fn install_mirror(&mut self, mirror: LaneMirror) {
         self.inst.lane_mirror = mirror;
-        self.inst.lane_primed = false;
-        self.inst.lane_stale = false;
-        self.inst.lane_halos_current = false;
+        self.inst.forget_mirror();
     }
 
     /// The [`CompiledStencil::fingerprint`] this plan was built from.
@@ -1991,25 +1869,36 @@ impl ExecutionPlan {
         self.inst.lane_mirror.allocations()
     }
 
+    /// Packed coefficient streams (one per kernelized strip per lane
+    /// group) this plan has packed so far. Monotonic: an execute that
+    /// re-read no coefficient leaves it unchanged.
+    pub fn coeff_stream_packs(&self) -> u64 {
+        self.inst
+            .lane_streams
+            .iter()
+            .map(CoeffStreams::packed_streams)
+            .sum()
+    }
+
     /// Machine-total words copied per steady-state `execute` under the
-    /// current engine. Lane-resident plans reach a fixed point: after
-    /// the first refresh the source interiors and halos in the mirror
-    /// cannot change between executes (sources are read-only and the
-    /// kernels write only the result range), so a steady iteration
-    /// copies nothing but the writable-range scatter. The other engines
-    /// refresh per iteration: interior source copy + halo-exchange
-    /// moves, plus — on the non-resident lockstep engine — the full
-    /// mirror gather/scatter. Computed from the plan's structure, so it
-    /// cannot drift from what `execute` actually does. Fill words
-    /// (border zeroing) are excluded: they are stores, not copies.
+    /// current engine. Lane-resident plans reach a fixed point: while
+    /// nothing writes a bound source or coefficient, the mirror's copies
+    /// stay current (the kernels write only the result range), so a
+    /// steady iteration copies nothing but the writable-range scatter.
+    /// The other engines refresh per iteration: interior source copy +
+    /// halo-exchange moves, plus — on the non-resident lockstep engine —
+    /// the full mirror gather/scatter. Computed from the plan's
+    /// structure, so it cannot drift from what `execute` actually does.
+    /// Fill words (border zeroing) are excluded: they are stores, not
+    /// copies.
     pub fn steady_state_copy_words(&self) -> usize {
         self.inst.steady_copy_words(&self.shared)
     }
 
-    /// Machine-total words the execute right after a tenant swap moves
-    /// on the lane-resident path (re-prime + interior refresh + halo
-    /// exchange + scatter); equals [`Self::steady_state_copy_words`]
-    /// off that path.
+    /// Machine-total words a ping-pong execute moves on the lane-resident
+    /// path — result and sources swapped, coefficients unchanged: the
+    /// source interior refreshes, their halo exchanges, and the scatter.
+    /// Equals [`Self::steady_state_copy_words`] off that path.
     pub fn rebind_cycle_copy_words(&self) -> usize {
         self.inst.rebind_cycle_copy_words(&self.shared)
     }
@@ -2054,32 +1943,71 @@ fn width_slot(width: usize) -> Option<usize> {
     }
 }
 
-/// How a lane-resident execute reaches node memory.
-///
-/// The exclusive variant is the classic write-lock path: the final
-/// scatter writes node memory directly. The shared variant is the
-/// region-leased path: node memory is a shared borrow (other tenants may
-/// be reading it concurrently), so the scatter is transposed into a
-/// [`RegionStage`] and committed later under a brief exclusive lock.
-enum ResidentAccess<'a, 'b> {
-    /// Exclusive node-memory access; scatter writes through.
-    Exclusive(&'a mut [NodeMemory]),
-    /// Shared node-memory access; scatter staged for a later commit.
-    Shared(&'a [NodeMemory], &'b mut RegionStage),
-}
-
 /// What one execute accumulated on its way to the shared epilogue
 /// ([`PlanInstance::finish`]): the kernel run, modeled exchange cycles,
-/// observed copy traffic, and the entry-state flags the debug
-/// cross-checks key on.
+/// observed copy traffic, and — on the lane-resident path — what the
+/// mirror re-read, which the debug cross-checks key on.
 struct ExecTally {
     run: StripRun,
     comm: u64,
     interior_words: usize,
     exchange_words: usize,
     mirror_base: MirrorWords,
-    steady_at_entry: bool,
-    rebind_at_entry: bool,
+    sync: Option<MirrorSync>,
+}
+
+/// What one lane-resident execute re-read into its mirror.
+#[derive(Debug, Clone, Copy, Default)]
+struct MirrorSync {
+    /// Source halos refreshed and exchanged.
+    sources: usize,
+    /// Everything else re-read: the priming gather, re-gathered
+    /// operands, and temporal coefficient halos.
+    others: usize,
+}
+
+impl MirrorSync {
+    /// Nothing was re-read: only the result scatter moved words.
+    fn is_steady(&self) -> bool {
+        self.sources == 0 && self.others == 0
+    }
+
+    /// Exactly the `sources` source halos were re-read — a ping-pong
+    /// step over unchanged coefficients.
+    fn is_source_swap(&self, sources: usize) -> bool {
+        self.sources == sources && self.others == 0
+    }
+}
+
+/// What a lane mirror holds of one node-memory operand: the field's
+/// base and the write generation ([`Machine::generation`]) it had when
+/// the mirror copied it. The copy is current exactly while the bound
+/// field still has this base and this generation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Held {
+    base: usize,
+    generation: u64,
+}
+
+impl Held {
+    /// The record a copy of `field` taken now would carry.
+    fn of(machine: &Machine, field: Field) -> Held {
+        Held {
+            base: field.base(),
+            generation: machine.generation(field),
+        }
+    }
+}
+
+/// One read-only operand's copy into a lane mirror: the field copied,
+/// the rectangle that copies it, and the mirror words a re-read
+/// redefines (for a halo refresh, the whole halo buffer — the exchange
+/// that follows rewrites its ring).
+#[derive(Debug, Clone)]
+struct MirrorCopy {
+    field: Field,
+    rect: RectCopy,
+    lanes: std::ops::Range<usize>,
 }
 
 /// One node-memory address range an execute touches, with whether it may
@@ -2247,78 +2175,123 @@ fn lane_ranges(
     ranges
 }
 
-/// Translates each source's interior refresh onto the lane mirror: one
-/// [`RectCopy`] per source rewrites the mirror rows holding its halo
-/// buffer's interior from the (mirror-external) source array every
-/// iteration — the lane-resident `fill_interior`. Returns `None` when
-/// any halo buffer is not wholly inside one viewed range (then the plan
-/// keeps the gather/scatter steady state).
-/// The read-only ranges of `view` past the first `halo_count` (constant
-/// pair, literal pages, named coefficient arrays), each as a single-run
-/// [`RectCopy`] — what a post-rebind partial re-prime must re-gather.
-/// Halo ranges are excluded: their observable words are redefined by the
-/// interior refresh and exchange every iteration.
-fn reprime_copies(view: &LaneView, halo_count: usize) -> Vec<RectCopy> {
-    view.ranges()
-        .iter()
-        .enumerate()
-        .filter(|(i, range)| *i >= halo_count && !range.writable)
-        .map(|(_, range)| RectCopy {
-            src0: range.node_base,
-            src_stride: 0,
-            dst0: range.lane_base,
-            dst_stride: 0,
-            rows: 1,
-            cols: range.len,
+/// The read-only operands of `view` outside the halo buffers — the
+/// constant pair, the literal pages and (classic plans) the named
+/// coefficient arrays — each as a single-run copy into the mirror.
+/// Temporal plans read named coefficients through their coefficient
+/// halos, which the interior refresh fills instead.
+fn mirror_operands(cp: &CompiledPlan, view: &LaneView, coeffs: &[CmArray]) -> Vec<MirrorCopy> {
+    let named = if cp.temporal.is_none() { coeffs } else { &[] };
+    std::iter::once(cp.consts)
+        .chain(cp.literal_pages.iter().map(|&(page, _)| page))
+        .chain(named.iter().map(CmArray::field))
+        .map(|field| {
+            let (lane0, _) = view
+                .locate(field.base())
+                .expect("every read-only operand is viewed");
+            MirrorCopy {
+                field,
+                rect: RectCopy {
+                    src0: field.base(),
+                    src_stride: 0,
+                    dst0: lane0,
+                    dst_stride: 0,
+                    rows: 1,
+                    cols: field.len(),
+                },
+                lanes: lane0..lane0 + field.len(),
+            }
         })
         .collect()
 }
 
-/// The full lane-resident program set for `view`: every halo exchange
-/// (sources first, then temporal coefficient halos) and interior
-/// refresh translated onto the mirror, plus the scratch boundary
-/// fix-ups of a temporal plan. `None` when any part fails to translate
-/// — the plan then runs without residency.
-struct ResidentPrograms {
-    exchanges: Vec<LaneExchangeProgram>,
-    interiors: Vec<RectCopy>,
-    scratch_fills: Vec<LaneFillProgram>,
+/// The effective lane schedule of an instance: its private translation
+/// `over` when the shared artifact `cp` has none to offer (it was built
+/// from an aliased binding and this binding is clean), else the shared
+/// one.
+fn lane_schedule<'a>(
+    over: &'a Option<(Vec<ResolvedStrip>, Vec<Option<StripKernels>>)>,
+    cp: &'a CompiledPlan,
+) -> (&'a [ResolvedStrip], &'a [Option<StripKernels>]) {
+    match over {
+        Some((s, k)) => (s.as_slice(), k.as_slice()),
+        None => (cp.lane_strips.as_slice(), cp.lane_kernels.as_slice()),
+    }
 }
 
-fn resident_programs(
+/// The index range of fused step `step` within a schedule of `len`
+/// strips: the temporal plan's step bounds, or the whole schedule.
+fn step_bounds(cp: &CompiledPlan, step: usize, len: usize) -> (usize, usize) {
+    match &cp.temporal {
+        Some(tp) => (tp.step_bounds[step], tp.step_bounds[step + 1]),
+        None => (0, len),
+    }
+}
+
+/// The bits of every read-only or lane-private viewed range of one node
+/// memory — the snapshot a debug build compares around a scatter.
+#[cfg(debug_assertions)]
+fn read_only_bits(view: &LaneView, mem: &cmcc_cm2::memory::NodeMemory) -> Vec<u32> {
+    view.ranges()
+        .iter()
+        .filter(|r| !r.writable || r.private)
+        .flat_map(|r| mem.slice(r.node_base, r.len).iter().map(|v| v.to_bits()))
+        .collect()
+}
+
+/// The binding-invariant half of the lane-resident programs for `view`:
+/// every halo exchange (sources first, then temporal coefficient halos)
+/// and the scratch boundary fix-ups of a temporal plan, translated onto
+/// the mirror. `None` when any fails to translate — the plan then runs
+/// without residency.
+fn lane_programs(
     cp: &CompiledPlan,
     view: &LaneView,
-    sources: &[CmArray],
-    coeffs: &[CmArray],
-) -> Option<ResidentPrograms> {
+) -> Option<(Vec<LaneExchangeProgram>, Vec<LaneFillProgram>)> {
     let mut exchanges: Vec<LaneExchangeProgram> = cp
         .exchanges
         .iter()
         .map(|p| LaneExchangeProgram::translate(p, view))
         .collect::<Option<_>>()?;
-    let mut interiors = lane_interior_copies(view, &cp.halos, sources)?;
     let mut scratch_fills = Vec::new();
     if let Some(tp) = &cp.temporal {
         for p in &tp.coeff_exchanges {
             exchanges.push(LaneExchangeProgram::translate(p, view)?);
         }
-        interiors.extend(lane_interior_copies(view, &tp.coeff_halos, coeffs)?);
         for p in &tp.scratch_fills {
             scratch_fills.push(LaneFillProgram::translate(p, view)?);
         }
     }
-    Some(ResidentPrograms {
-        exchanges,
-        interiors,
-        scratch_fills,
-    })
+    Some((exchanges, scratch_fills))
 }
 
+/// The per-binding half: every interior refresh, parallel to the
+/// exchanges of [`lane_programs`] — the sources into their halos, then
+/// (temporal plans) the named coefficient arrays into theirs.
+fn lane_interiors(
+    cp: &CompiledPlan,
+    view: &LaneView,
+    sources: &[CmArray],
+    coeffs: &[CmArray],
+) -> Option<Vec<MirrorCopy>> {
+    let mut interiors = lane_interior_copies(view, &cp.halos, sources)?;
+    if let Some(tp) = &cp.temporal {
+        interiors.extend(lane_interior_copies(view, &tp.coeff_halos, coeffs)?);
+    }
+    Some(interiors)
+}
+
+/// Translates each source's interior refresh onto the lane mirror: one
+/// [`RectCopy`] per source rewrites the mirror rows holding its halo
+/// buffer's interior from the (mirror-external) source array — the
+/// lane-resident `fill_interior`. Returns `None` when any halo buffer is
+/// not wholly inside one viewed range (then the plan keeps the
+/// gather/scatter steady state).
 fn lane_interior_copies(
     view: &LaneView,
     halos: &[HaloBuffer],
     sources: &[CmArray],
-) -> Option<Vec<RectCopy>> {
+) -> Option<Vec<MirrorCopy>> {
     halos
         .iter()
         .zip(sources)
@@ -2330,13 +2303,17 @@ fn lane_interior_copies(
             if f.base() + f.len() > range.node_base + range.len {
                 return None;
             }
-            Some(RectCopy {
-                src0: sl.addr(0, 0),
-                src_stride: sl.row_stride,
-                dst0: lane0 + (hl.addr(0, 0) - f.base()),
-                dst_stride: hl.row_stride,
-                rows: src.sub_rows(),
-                cols: src.sub_cols(),
+            Some(MirrorCopy {
+                field: src.field(),
+                rect: RectCopy {
+                    src0: sl.addr(0, 0),
+                    src_stride: sl.row_stride,
+                    dst0: lane0 + (hl.addr(0, 0) - f.base()),
+                    dst_stride: hl.row_stride,
+                    rows: src.sub_rows(),
+                    cols: src.sub_cols(),
+                },
+                lanes: lane0..lane0 + f.len(),
             })
         })
         .collect()

@@ -941,6 +941,7 @@ impl Session {
                     stage.ranges().len() as u64,
                 );
                 stage.apply(machine.exec_parts_mut().1);
+                machine.note_write(result.field());
             }
             self.stage = stage;
             measurement

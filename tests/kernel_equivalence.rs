@@ -28,7 +28,10 @@ use cmcc::runtime::{
 use cmcc::{ExecEngine, Measurement, PaperPattern};
 use cmcc_testkit::{property, Rng};
 
-/// Serializes tests that flip or read the process-global telemetry.
+/// Serializes tests that flip the process-global telemetry switch.
+/// They read only their own thread's counters (`thread_snapshot`): the
+/// other tests of this binary run lockstep executes concurrently, and
+/// while the switch is on those would land in a process-wide snapshot.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn scalar_fast() -> ExecOptions {
@@ -284,9 +287,9 @@ fn paper_patterns_run_fully_kernelized() {
         .unwrap();
         assert!(plan.uses_lockstep(), "{}: lane-maps", pattern.name());
 
-        let before = obs::snapshot();
+        let before = obs::thread_snapshot();
         plan.execute(&mut machine).unwrap();
-        let kern = obs::snapshot().delta(&before);
+        let kern = obs::thread_snapshot().delta(&before);
         let kernelized = kern.get(Counter::KernelizedSteps);
         assert!(
             kernelized > 0,
@@ -302,9 +305,9 @@ fn paper_patterns_run_fully_kernelized() {
         assert_eq!(kern.get(Counter::LockstepSteps), kernelized);
 
         plan.set_kernel_tier(false);
-        let before = obs::snapshot();
+        let before = obs::thread_snapshot();
         plan.execute(&mut machine).unwrap();
-        let interp = obs::snapshot().delta(&before);
+        let interp = obs::thread_snapshot().delta(&before);
         assert_eq!(
             interp.get(Counter::KernelizedSteps),
             0,
@@ -537,7 +540,7 @@ fn temporal_telemetry_counts_exchanges_fused_steps_and_fallbacks() {
         let mut plan =
             ExecutionPlan::build(&mut machine, &binding, &opts, PlanLifetime::Scoped).unwrap();
         assert_eq!(plan.temporal_depth(), depth, "depth should take effect");
-        let before = obs::snapshot();
+        let before = obs::thread_snapshot();
         for e in 0..steps / depth {
             plan.execute(&mut machine).unwrap();
             if e + 1 < steps / depth {
@@ -545,7 +548,7 @@ fn temporal_telemetry_counts_exchanges_fused_steps_and_fallbacks() {
                 plan.rebind(to, &[from], &[]).unwrap();
             }
         }
-        let delta = obs::snapshot().delta(&before);
+        let delta = obs::thread_snapshot().delta(&before);
         (
             delta.get(Counter::HaloExchanges),
             delta.get(Counter::FusedSteps),
@@ -570,7 +573,7 @@ fn temporal_telemetry_counts_exchanges_fused_steps_and_fallbacks() {
     a.fill(&mut machine, 1.0);
     let b = CmArray::new(&mut machine, 8, 8).unwrap();
     let binding = StencilBinding::new(&compiled, &b, &[&a], &[]).unwrap();
-    let before = obs::snapshot();
+    let before = obs::thread_snapshot();
     let plan = ExecutionPlan::build(
         &mut machine,
         &binding,
@@ -578,7 +581,7 @@ fn temporal_telemetry_counts_exchanges_fused_steps_and_fallbacks() {
         PlanLifetime::Scoped,
     )
     .unwrap();
-    let delta = obs::snapshot().delta(&before);
+    let delta = obs::thread_snapshot().delta(&before);
     obs::set_enabled(was_on);
     assert_eq!(plan.temporal_depth(), 1);
     assert_eq!(delta.get(Counter::TemporalFallbacks), 1);
@@ -618,9 +621,9 @@ fn aliased_fallback_records_no_lockstep_steps() {
     .unwrap();
     assert!(!plan.uses_lockstep(), "aliased binding must fall back");
 
-    let before = obs::snapshot();
+    let before = obs::thread_snapshot();
     plan.execute(&mut machine).expect("aliased plan runs");
-    let delta = obs::snapshot().delta(&before);
+    let delta = obs::thread_snapshot().delta(&before);
     obs::set_enabled(was_on);
 
     assert_eq!(delta.get(Counter::KernelizedSteps), 0);

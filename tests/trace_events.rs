@@ -209,8 +209,8 @@ fn ring_overflow_counts_drops_and_preserves_prefix() {
 }
 
 /// Histogram percentiles equal the quantized rank statistic of the raw
-/// sample — quantization is monotone, so bucketing commutes with
-/// rank selection.
+/// sample, clamped to the exact maximum — quantization is monotone, so
+/// bucketing commutes with rank selection.
 #[test]
 fn histogram_percentiles_match_sorted_oracle() {
     let mut h = Histogram::new();
@@ -230,7 +230,7 @@ fn histogram_percentiles_match_sorted_oracle() {
         let rank = ((p / 100.0 * samples.len() as f64).ceil() as usize)
             .max(1)
             .min(samples.len());
-        let oracle = Histogram::quantize(samples[rank - 1]);
+        let oracle = Histogram::quantize(samples[rank - 1]).min(*samples.last().unwrap());
         assert_eq!(
             h.percentile(p),
             oracle,
@@ -301,7 +301,8 @@ fn racing_tenants_split_blocked_and_executing_within_wall() {
 }
 
 /// Per-tenant statement-latency percentiles (what serve-v3 reports)
-/// equal the quantized sorted oracle of that tenant's slice durations.
+/// equal the quantized sorted oracle of that tenant's slice durations,
+/// clamped to the tenant's maximum.
 #[test]
 fn per_tenant_percentiles_match_sorted_oracle() {
     let _g = lock();
@@ -330,7 +331,7 @@ fn per_tenant_percentiles_match_sorted_oracle() {
                 .min(durs.len());
             assert_eq!(
                 h.percentile(p),
-                Histogram::quantize(durs[rank - 1]),
+                Histogram::quantize(durs[rank - 1]).min(*durs.last().unwrap()),
                 "tenant {w} p{p} diverges from its sorted oracle"
             );
         }
