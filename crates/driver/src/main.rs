@@ -644,6 +644,9 @@ fn run_compiled(
 
 /// Rates and traffic derived from one profiled run.
 struct Derived {
+    /// Whether the WTL3164 cycle model ran (cycle mode). Without it the
+    /// two model figures below mean nothing and the table says so.
+    cycle_model: bool,
     /// Sustained Gflops under the WTL3164 cycle model (0 in fast mode —
     /// the pipeline model did not run).
     effective_gflops: f64,
@@ -747,6 +750,7 @@ fn derive_metrics(
     };
     let model_drift_ok = !model_drift_checked || model_drift.abs() <= drift_tol;
     Derived {
+        cycle_model: cycle_mode,
         effective_gflops,
         model_fraction,
         wall_gflops,
@@ -889,13 +893,17 @@ impl Profile {
             "    profile (statement {}, {} engine, {} mode):",
             self.statement, self.engine, self.mode
         );
+        let effective = if self.derived.cycle_model {
+            format!(
+                "{:.3} Gflops (model fraction {:.3})",
+                self.derived.effective_gflops, self.derived.model_fraction
+            )
+        } else {
+            "n/a (fast mode runs no cycle model)".to_owned()
+        };
         println!(
-            "      effective {:.3} Gflops (model fraction {:.3}), wall-clock {:.3} Gflops, \
-             cpu {:.3} Gflops",
-            self.derived.effective_gflops,
-            self.derived.model_fraction,
-            self.derived.wall_gflops,
-            self.derived.cpu_gflops,
+            "      effective {effective}, wall-clock {:.3} Gflops, cpu {:.3} Gflops",
+            self.derived.wall_gflops, self.derived.cpu_gflops,
         );
         println!(
             "      copy traffic {:.0} bytes/iter observed vs {:.0} predicted \

@@ -282,8 +282,16 @@ struct TemporalPlan {
 /// by the caller (the session's machine lock).
 #[derive(Debug, Clone)]
 pub struct PlanInstance {
-    /// The shared schedule rebased onto this instance's binding.
+    /// The shared schedule rebased onto this instance's binding, less
+    /// the pending deltas below.
     strips: Vec<ResolvedStrip>,
+    /// Base deltas of the result and of every coefficient slot that
+    /// `strips` has not absorbed yet. The lane-resident path never reads
+    /// the node-domain schedule, so `bind` only accumulates them and
+    /// [`PlanInstance::rebase_node_strips`] applies them once a
+    /// node-domain reader needs the strips.
+    pending_result_delta: i64,
+    pending_coeff_deltas: Vec<i64>,
     /// A private lane translation (strips plus kernel classifications),
     /// used only when the shared plan has none to offer — it was built
     /// from an aliased binding (empty `lane_strips`) and this instance's
@@ -944,9 +952,11 @@ impl PlanInstance {
         coeffs: &[CmArray],
     ) -> Self {
         // Start from the build binding the shared schedule was resolved
-        // against; `bind` rebases from there.
+        // against; `bind` records the deltas from there.
         let mut inst = PlanInstance {
             strips: cp.strips.clone(),
+            pending_result_delta: 0,
+            pending_coeff_deltas: vec![0; cp.coeff_slot_count],
             lane_strips_override: None,
             kernel_tier: true,
             lane_view: None,
@@ -971,10 +981,11 @@ impl PlanInstance {
         inst
     }
 
-    /// Points the instance at new arrays of the compiled shape: rebases
-    /// the node-domain schedule by the base deltas, recomputes the lane
-    /// view (or falls back to the scalar path when the arrays alias),
-    /// and retargets the mirror copies at the new bases. The held
+    /// Points the instance at new arrays of the compiled shape: records
+    /// the base deltas the node-domain schedule owes (applied lazily, see
+    /// [`PlanInstance::rebase_node_strips`]), recomputes the lane view
+    /// (or falls back to the scalar path when the arrays alias), and
+    /// retargets the mirror copies at the new bases. The held
     /// records are kept — the next execute compares them with the new
     /// fields and re-reads just the operands that differ — and so are
     /// the lane exchange programs and scratch fix-ups: they move words
@@ -988,18 +999,11 @@ impl PlanInstance {
         sources: &[&CmArray],
         coeffs: &[&CmArray],
     ) {
-        let result_delta = result.field().base() as i64 - self.result.field().base() as i64;
-        let mut coeff_deltas = vec![0i64; cp.coeff_slot_count];
-        let mut any_coeff = false;
+        self.pending_result_delta +=
+            result.field().base() as i64 - self.result.field().base() as i64;
         for ((&slot, old), new) in cp.named_slots.iter().zip(&self.coeffs).zip(coeffs) {
-            let delta = new.field().base() as i64 - old.field().base() as i64;
-            coeff_deltas[slot as usize] = delta;
-            any_coeff |= delta != 0;
-        }
-        if result_delta != 0 || any_coeff {
-            for strip in &mut self.strips {
-                strip.rebase(result_delta, &coeff_deltas);
-            }
+            self.pending_coeff_deltas[slot as usize] +=
+                new.field().base() as i64 - old.field().base() as i64;
         }
         self.result = *result;
         self.sources.clear();
@@ -1025,7 +1029,7 @@ impl PlanInstance {
                 if lane_len == self.strips.len() {
                     self.lane_view = Some(view);
                 } else if let Some(translated) = self
-                    .strips
+                    .rebase_node_strips()
                     .iter()
                     .map(|s| s.translate(&view))
                     .collect::<Option<Vec<_>>>()
@@ -1064,6 +1068,20 @@ impl PlanInstance {
         // that no longer exist are dropped (the mirror is primed again).
         self.held_operands.resize(self.lane_operands.len(), None);
         self.held_interiors.resize(self.lane_interiors.len(), None);
+    }
+
+    /// Applies the pending base deltas to the node-domain schedule and
+    /// returns it. Rebases compose by addition, so one pass here equals
+    /// one pass per intervening `bind`.
+    fn rebase_node_strips(&mut self) -> &[ResolvedStrip] {
+        if self.pending_result_delta != 0 || self.pending_coeff_deltas.iter().any(|&d| d != 0) {
+            for strip in &mut self.strips {
+                strip.rebase(self.pending_result_delta, &self.pending_coeff_deltas);
+            }
+            self.pending_result_delta = 0;
+            self.pending_coeff_deltas.fill(0);
+        }
+        &self.strips
     }
 
     /// Forgets what the mirror holds: the next execute primes it again.
@@ -1303,6 +1321,7 @@ impl PlanInstance {
             // execute, then every inner step runs its sub-schedule
             // against node memory, with the scratch boundary fix-up
             // between steps.
+            self.rebase_node_strips();
             for ((halo, program), src) in cp.halos.iter().zip(&cp.exchanges).zip(&self.sources) {
                 interior_words += halo.fill_interior(machine, src);
                 exchange_words += program.words_moved();
@@ -1361,7 +1380,11 @@ impl PlanInstance {
                         &mut self.lane_mirror,
                     )
                 }
-                None => machine.run_resolved_all(&self.strips, cp.opts.mode, cp.opts.threads)?,
+                None => machine.run_resolved_all(
+                    self.rebase_node_strips(),
+                    cp.opts.mode,
+                    cp.opts.threads,
+                )?,
             }
         };
         Ok(self.finish(
@@ -2677,6 +2700,59 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r1.gather(&m), r_fresh1.gather(&m));
+        plan.release(&mut m);
+    }
+
+    /// `rebind` defers the node-domain rebase; deltas from several
+    /// rebinds must compose, whether nothing ran in between (scalar
+    /// engine) or only lane-resident executes that never read the
+    /// node-domain schedule, until an aliased binding falls back to it.
+    #[test]
+    fn deferred_rebases_compose_across_rebinds() {
+        let mut m = machine();
+        let compiled = compile(&m, "R = C * CSHIFT(X, 2, 1) + 0.5 * X");
+        let mk = |m: &mut Machine, seed: usize| {
+            let a = CmArray::new(m, 8, 8).unwrap();
+            a.fill_with(m, move |r, c| ((r * 5 + c * 3 + seed) % 17) as f32 * 0.25);
+            a
+        };
+        let xs: Vec<CmArray> = (0..3).map(|i| mk(&mut m, i)).collect();
+        let cs: Vec<CmArray> = (3..6).map(|i| mk(&mut m, i)).collect();
+        let rs: Vec<CmArray> = (0..3)
+            .map(|_| CmArray::new(&mut m, 8, 8).unwrap())
+            .collect();
+        let scalar = ExecOptions::fast().with_engine(ExecEngine::Scalar);
+        let expect = |m: &mut Machine, x: &CmArray, c: &CmArray| {
+            let r = CmArray::new(m, 8, 8).unwrap();
+            convolve(m, &compiled, &r, x, &[c], &scalar).unwrap();
+            r.gather(m)
+        };
+
+        // Scalar engine: two rebinds with no execute between them.
+        let b = StencilBinding::new(&compiled, &rs[0], &[&xs[0]], &[&cs[0]]).unwrap();
+        let mut plan = ExecutionPlan::build(&mut m, &b, &scalar, PlanLifetime::Persistent).unwrap();
+        plan.rebind(&rs[1], &[&xs[1]], &[&cs[1]]).unwrap();
+        plan.rebind(&rs[2], &[&xs[2]], &[&cs[2]]).unwrap();
+        plan.execute(&mut m).unwrap();
+        assert_eq!(rs[2].gather(&m), expect(&mut m, &xs[2], &cs[2]));
+        plan.release(&mut m);
+
+        // Lane-resident executes between rebinds, then an aliased
+        // binding (result over the coefficient) that runs the scalar
+        // fallback on the node-domain schedule.
+        let b = StencilBinding::new(&compiled, &rs[0], &[&xs[0]], &[&cs[0]]).unwrap();
+        let fast = ExecOptions::fast();
+        let mut plan = ExecutionPlan::build(&mut m, &b, &fast, PlanLifetime::Persistent).unwrap();
+        for i in [0, 1, 2, 1] {
+            plan.rebind(&rs[i], &[&xs[i]], &[&cs[i]]).unwrap();
+            assert!(plan.uses_lane_resident());
+            plan.execute(&mut m).unwrap();
+        }
+        let want = expect(&mut m, &xs[2], &cs[1]);
+        plan.rebind(&cs[1], &[&xs[2]], &[&cs[1]]).unwrap();
+        assert!(!plan.uses_lockstep());
+        plan.execute(&mut m).unwrap();
+        assert_eq!(cs[1].gather(&m), want);
         plan.release(&mut m);
     }
 
