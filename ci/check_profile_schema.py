@@ -182,7 +182,6 @@ EXPECTED = [
     ("report.exec.temporal_fallbacks", numbers.Integral),
     ("report.exec.scalar_runs", numbers.Integral),
     ("report.exec.lockstep_runs", numbers.Integral),
-    ("report.exec.lane_resident_runs", numbers.Integral),
     ("report.exec.scalar_steps", numbers.Integral),
     ("report.exec.lockstep_steps", numbers.Integral),
     ("report.exec.kernelized_steps", numbers.Integral),

@@ -13,15 +13,14 @@
 //!
 //! Results must be bit-identical and `Measurement`s exactly equal; the
 //! steady-state speedup is asserted ≥2× in full mode and written to
-//! `BENCH_simd.json` either way. Lane residency is pinned *off* here so
-//! the ratio stays an executor comparison under equal copy traffic — the
-//! residency saving has its own benchmark, `repro_lane_resident`. Both
-//! engines' steady-state copy bytes per iteration are reported.
+//! `BENCH_simd.json` either way. A lockstep plan is always lane-resident
+//! (its mirror persists across executes and only the result range is
+//! scattered back), so part of the ratio is the copy traffic residency
+//! saves; both engines' steady-state copy bytes per iteration are
+//! reported.
 //!
-//! A second ratio isolates plan-time kernel generation: the lockstep
-//! plan is replayed twice on *lane-resident* plans — residency strips
-//! the gather/scatter floor both non-resident passes share — once with
-//! the kernel tier live and once with it toggled off
+//! A second ratio isolates plan-time kernel generation: the same
+//! lockstep plan is replayed with the kernel tier toggled off
 //! (`ExecutionPlan::set_kernel_tier`), timing the monomorphized kernels
 //! against the per-step interpreter. Full mode asserts the kernels win
 //! by ≥2×, and the profiled pass asserts `interpreted_steps == 0` — on
@@ -63,22 +62,13 @@ const WARMUP: usize = 2;
 /// iteration, the measurement, the gathered result, and the bytes each
 /// steady-state iteration copies (machine-total, from the plan's own
 /// accounting).
-///
-/// The lockstep plan pins `lane_resident` off: this benchmark isolates
-/// per-step dispatch amortization, so both engines pay the same
-/// per-iteration copy traffic; the residency saving is measured
-/// separately by `repro_lane_resident`.
 fn time_engine(
     w: &mut Workload,
     engine: ExecEngine,
     iters: usize,
     kernel_tier: bool,
-    resident: bool,
 ) -> (f64, Measurement, Vec<f32>, usize) {
-    let opts = ExecOptions::fast()
-        .with_engine(engine)
-        .with_threads(1)
-        .with_lane_resident(resident);
+    let opts = ExecOptions::fast().with_engine(engine).with_threads(1);
     let refs: Vec<&CmArray> = w.coeffs.iter().collect();
     let binding =
         StencilBinding::new(&w.compiled, &w.r, &[&w.x], &refs).expect("bench binding is valid");
@@ -138,48 +128,34 @@ fn main() {
     );
 
     let (scalar_secs, scalar_m, scalar_r, scalar_copy_bytes) =
-        time_engine(&mut scalar_w, ExecEngine::Scalar, iters, true, false);
+        time_engine(&mut scalar_w, ExecEngine::Scalar, iters, true);
     println!("  scalar:   {scalar_secs:.6} s/iter, {scalar_copy_bytes} copy bytes/iter");
     let (lockstep_secs, lockstep_m, lockstep_r, lockstep_copy_bytes) =
-        time_engine(&mut lockstep_w, ExecEngine::Lockstep, iters, true, false);
+        time_engine(&mut lockstep_w, ExecEngine::Lockstep, iters, true);
     println!("  lockstep: {lockstep_secs:.6} s/iter, {lockstep_copy_bytes} copy bytes/iter");
 
-    // Kernel tier vs interpreted lockstep, both on lane-resident plans:
-    // residency strips the per-iteration gather/scatter floor the
-    // non-resident passes above share, so this ratio isolates the step
-    // engine itself — the thing plan-time kernel generation changes.
-    let mut resident_w = Workload::new(
-        MachineConfig::test_board_16(),
-        PaperPattern::Square9,
-        SUBGRID,
-    );
-    let (resident_secs, resident_m, resident_r, _) =
-        time_engine(&mut resident_w, ExecEngine::Lockstep, iters, true, true);
-    println!("  lockstep (resident, kernelized):  {resident_secs:.6} s/iter");
+    // Kernel tier vs interpreted lockstep: the same plan with the tier
+    // toggled off, so this ratio isolates the step engine itself — the
+    // thing plan-time kernel generation changes.
     let mut interp_w = Workload::new(
         MachineConfig::test_board_16(),
         PaperPattern::Square9,
         SUBGRID,
     );
     let (interp_secs, interp_m, interp_r, _) =
-        time_engine(&mut interp_w, ExecEngine::Lockstep, iters, false, true);
-    println!("  lockstep (resident, interpreted): {interp_secs:.6} s/iter");
+        time_engine(&mut interp_w, ExecEngine::Lockstep, iters, false);
+    println!("  lockstep (interpreted): {interp_secs:.6} s/iter");
     assert_eq!(
         interp_m, lockstep_m,
         "the kernel tier must not change the Measurement"
     );
-    assert_eq!(
-        resident_m, lockstep_m,
-        "lane residency must not change the Measurement"
+    assert!(
+        interp_r
+            .iter()
+            .zip(&lockstep_r)
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "the kernel tier must not change results"
     );
-    for (label, r) in [("kernel tier", &interp_r), ("lane residency", &resident_r)] {
-        assert!(
-            r.iter()
-                .zip(&lockstep_r)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "the {label} must not change results"
-        );
-    }
 
     // Third pass: identical lockstep workload with profiling counters
     // live, to measure the telemetry overhead — and to gate kernel
@@ -198,7 +174,7 @@ fn main() {
     cmcc_obs::trace::set_trace_enabled(false);
     let counters_before = cmcc_obs::snapshot();
     let (profiled_secs, profiled_m, profiled_r, _) =
-        time_engine(&mut profiled_w, ExecEngine::Lockstep, iters, true, false);
+        time_engine(&mut profiled_w, ExecEngine::Lockstep, iters, true);
     let counters_after = cmcc_obs::snapshot();
     cmcc_obs::set_enabled(false);
     let kernelized_steps = counters_after.get(cmcc_obs::Counter::KernelizedSteps)
@@ -237,7 +213,7 @@ fn main() {
             .all(|(a, b)| a.to_bits() == b.to_bits());
     let measurement_equal = scalar_m == lockstep_m;
     let speedup = scalar_secs / lockstep_secs;
-    let kernel_speedup = interp_secs / resident_secs;
+    let kernel_speedup = interp_secs / lockstep_secs;
     println!(
         "\n  speedup {speedup:.2}x (kernels over interpreted lockstep: {kernel_speedup:.2}x); \
          bit-identical: {bit_identical}; measurements equal: {measurement_equal}"
@@ -258,8 +234,7 @@ fn main() {
          \"threads\": 1,\n  \"warmup\": {WARMUP},\n  \"iters\": {iters},\n  \
          \"scalar_secs_per_iter\": {scalar_secs:.6},\n  \
          \"lockstep_secs_per_iter\": {lockstep_secs:.6},\n  \
-         \"lockstep_resident_secs_per_iter\": {resident_secs:.6},\n  \
-         \"lockstep_resident_interpreted_secs_per_iter\": {interp_secs:.6},\n  \
+         \"lockstep_interpreted_secs_per_iter\": {interp_secs:.6},\n  \
          \"scalar_copy_bytes_per_iter\": {scalar_copy_bytes},\n  \
          \"lockstep_copy_bytes_per_iter\": {lockstep_copy_bytes},\n  \
          \"profiled_secs_per_iter\": {profiled_secs:.6},\n  \

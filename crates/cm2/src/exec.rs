@@ -946,32 +946,6 @@ pub fn run_resolved_strip_lockstep(strip: &ResolvedStrip, lanes: &mut LaneMemory
     }
 }
 
-/// Runs every translated strip over every lane group, one host thread
-/// per group — the fan-out step of a lane-resident execute.
-///
-/// Each group holds a disjoint contiguous chunk of the machine's nodes
-/// (see [`crate::lane::LaneMirror`]); lanes never interact, so the groups
-/// replay identical instruction streams and their [`StripRun`] counters
-/// must agree (debug-asserted). Returns the per-node counters.
-///
-/// # Panics
-///
-/// Panics if a lane-word address is out of a group's bounds, or if a
-/// worker thread panics.
-pub fn run_resolved_lockstep_groups(
-    strips: &[ResolvedStrip],
-    groups: &mut [LaneMemory],
-) -> StripRun {
-    // Interpreter-only entry point: every step counts as interpreted
-    // and the scratch coefficient-stream cache stays empty.
-    crate::kernels::run_lockstep_groups_kernelized(
-        strips,
-        &[],
-        &mut crate::kernels::CoeffStreams::new(),
-        groups,
-    )
-}
-
 /// [`run_resolved_strip_lockstep`] monomorphized for `N` lanes
 /// (`N = 0` means the lane count is only known at run time).
 fn run_resolved_strip_lockstep_n<const N: usize>(
@@ -1927,6 +1901,11 @@ mod tests {
 
     #[test]
     fn lockstep_groups_match_a_single_mirror() {
+        // The dispatcher records step counters while another test has
+        // telemetry on; serialize with the tests that read them.
+        let _guard = crate::kernels::OBS_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let kernel = identity_kernel();
         let (_, [src, res, coeff], ones, zeros) = setup();
         let coeffs = [coeff];
@@ -1958,8 +1937,12 @@ mod tests {
         let mut single = mems.clone();
         let mut lanes = LaneMemory::new(view.words(), 5);
         lanes.gather(&view, &single);
-        let run_single =
-            run_resolved_lockstep_groups(&lane_strips, std::slice::from_mut(&mut lanes));
+        let run_single = crate::kernels::run_lockstep_groups_kernelized(
+            &lane_strips,
+            &[],
+            &mut crate::kernels::CoeffStreams::new(),
+            std::slice::from_mut(&mut lanes),
+        );
         lanes.scatter(&view, &mut single);
 
         // …versus a 2-group partition (chunks of 3 and 2) fanned out.
@@ -1967,7 +1950,12 @@ mod tests {
         let mut mirror = crate::lane::LaneMirror::new();
         mirror.ensure(view.words(), 5, 2);
         mirror.gather(&view, &split);
-        let run_split = run_resolved_lockstep_groups(&lane_strips, mirror.groups_mut());
+        let run_split = crate::kernels::run_lockstep_groups_kernelized(
+            &lane_strips,
+            &[],
+            &mut crate::kernels::CoeffStreams::new(),
+            mirror.groups_mut(),
+        );
         mirror.scatter(&view, &mut split);
 
         assert_eq!(run_single, run_split);

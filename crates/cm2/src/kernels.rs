@@ -902,8 +902,13 @@ impl CoeffStreams {
     }
 }
 
-/// Runs every translated strip over every lane group — the kernel-tier
-/// counterpart of [`crate::exec::run_resolved_lockstep_groups`].
+/// Runs every translated strip over every lane group, one host thread
+/// per group — the fan-out step of a lane-resident execute.
+///
+/// Each group holds a disjoint contiguous chunk of the machine's nodes
+/// (see [`crate::lane::LaneMirror`]); lanes never interact, so the groups
+/// replay identical instruction streams and their [`StripRun`] counters
+/// must agree. Returns the per-node counters.
 ///
 /// `kernels[i]`, when present, is the compiled form of `strips[i]`;
 /// missing or `None` entries run through the interpreter (pass `&[]`

@@ -516,14 +516,16 @@ fn run_compiled(
         .into());
     }
 
-    let lane_resident = session.last_plan().is_some_and(|p| p.uses_lane_resident());
+    let lockstep = session.last_plan().is_some_and(|p| p.uses_lockstep());
     if exec_opts.mode == ExecMode::Fast {
         // Functional engines skip the pipeline model, so there is no
         // cycle count to convert into a rate — report wall-clock only.
-        let engine = match exec_opts.engine {
-            ExecEngine::Scalar => "scalar",
-            ExecEngine::Lockstep if lane_resident => "lockstep, lane-resident",
-            ExecEngine::Lockstep => "lockstep",
+        // Name the path that ran: a lockstep request whose binding could
+        // not be lane-mapped ran scalar.
+        let engine = if lockstep {
+            "lockstep, lane-resident"
+        } else {
+            "scalar"
         };
         print!(
             "    ran {}x{} ({}x{} per node): functional ({engine}) on {} nodes",
@@ -579,15 +581,11 @@ fn run_compiled(
         let full_report = full_report.merge(compile_report);
         // Label the path the plan actually executed — cycle mode always
         // runs the scalar pipeline model regardless of the engine option.
-        let engine = session.last_plan().map_or("scalar", |p| {
-            if p.uses_lane_resident() {
-                "lockstep-lane-resident"
-            } else if p.uses_lockstep() {
-                "lockstep"
-            } else {
-                "scalar"
-            }
-        });
+        let engine = if lockstep {
+            "lockstep-lane-resident"
+        } else {
+            "scalar"
+        };
         let derived = derive_metrics(
             cfg,
             &m,

@@ -304,17 +304,16 @@ pub struct PlanInstance {
     /// build (for interpreted-baseline benchmarking) without touching
     /// the plan-cache key.
     kernel_tier: bool,
-    /// The node-memory ↔ lane-word map for the lockstep engine. `None`
-    /// when the engine is scalar, the mode is cycle-accurate, or the
-    /// current binding aliases arrays (then `execute` falls back to the
-    /// scalar path). Rebind recomputes it in place.
-    lane_view: Option<LaneView>,
-    /// Whether `execute` runs the lane-resident steady state: the mirror
+    /// The node-memory ↔ lane-word map for the lockstep engine. `Some`
+    /// means `execute` runs the lane-resident steady state: the mirror
     /// below persists across executes, sources are refreshed and the
     /// halo exchange runs directly on it, and only writable ranges are
-    /// scattered back. Requires a lane view, `opts.lane_resident`, and a
-    /// successful translation of every exchange and interior copy.
-    lane_resident: bool,
+    /// scattered back. `None` when the engine is scalar, the mode is
+    /// cycle-accurate, or the current binding cannot be lane-mapped
+    /// (aliased arrays, or a strip, exchange or interior copy that does
+    /// not translate); `execute` then runs the scalar path. Rebind
+    /// recomputes it in place.
+    lane_view: Option<LaneView>,
     /// The instance-owned persistent lane mirror. Shaped on first
     /// execute, recycled afterwards (zero steady-state allocations);
     /// `held_operands` and `held_interiors` record what it holds.
@@ -323,13 +322,13 @@ pub struct PlanInstance {
     lane_mirror: LaneMirror,
     /// The halo exchange translated onto the mirror — one per source,
     /// then (temporal plans) one per coefficient halo. Translated by the
-    /// first binding that can be resident and kept across rebinds (it
+    /// first lane-mapped binding and kept across rebinds (it
     /// touches only plan-owned halo buffers); empty before that.
     lane_exchanges: Vec<LaneExchangeProgram>,
     /// Interior refresh on the mirror (the lane-domain `fill_interior`),
     /// parallel to `lane_exchanges`: sources first, then (temporal
     /// plans) the bound named-coefficient arrays into their halos.
-    /// Empty unless `lane_resident`.
+    /// Empty without a lane view.
     lane_interiors: Vec<MirrorCopy>,
     /// The scratch-buffer boundary fix-ups translated onto the mirror,
     /// parallel to the shared plan's `TemporalPlan::scratch_fills`;
@@ -465,8 +464,6 @@ impl CompiledPlan {
                 Some("cycle-accurate mode")
             } else if opts.engine != ExecEngine::Lockstep {
                 Some("scalar engine")
-            } else if !opts.lane_resident {
-                Some("lane residency disabled")
             } else if binding.sources().len() != 1 {
                 Some("multi-source stencil")
             } else if pad == 0 {
@@ -960,7 +957,6 @@ impl PlanInstance {
             lane_strips_override: None,
             kernel_tier: true,
             lane_view: None,
-            lane_resident: false,
             lane_mirror: LaneMirror::new(),
             lane_exchanges: Vec::new(),
             lane_interiors: Vec::new(),
@@ -1044,24 +1040,27 @@ impl PlanInstance {
             }
         }
 
-        self.lane_resident = false;
+        // A lockstep plan is lane-resident or it is not lane-mapped at
+        // all: a view whose exchanges or interior refreshes do not
+        // translate is dropped, and the binding runs scalar.
         self.lane_interiors.clear();
         self.lane_operands.clear();
-        if let Some(view) = &self.lane_view {
-            self.lane_operands = mirror_operands(cp, view, &self.coeffs);
-            if cp.opts.lane_resident {
-                if self.lane_exchanges.is_empty() {
-                    if let Some((exchanges, scratch_fills)) = lane_programs(cp, view) {
-                        self.lane_exchanges = exchanges;
-                        self.lane_scratch_fills = scratch_fills;
-                    }
+        if let Some(view) = self.lane_view.take() {
+            if self.lane_exchanges.is_empty() {
+                if let Some((exchanges, scratch_fills)) = lane_programs(cp, &view) {
+                    self.lane_exchanges = exchanges;
+                    self.lane_scratch_fills = scratch_fills;
                 }
-                if !self.lane_exchanges.is_empty() {
-                    if let Some(interiors) = lane_interiors(cp, view, &self.sources, &self.coeffs) {
-                        self.lane_interiors = interiors;
-                        self.lane_resident = true;
-                    }
-                }
+            }
+            let interiors = if self.lane_exchanges.is_empty() {
+                None
+            } else {
+                lane_interiors(cp, &view, &self.sources, &self.coeffs)
+            };
+            if let Some(interiors) = interiors {
+                self.lane_interiors = interiors;
+                self.lane_operands = mirror_operands(cp, &view, &self.coeffs);
+                self.lane_view = Some(view);
             }
         }
         // Without a lane view the mirror sits idle; records for ranges
@@ -1223,8 +1222,8 @@ impl PlanInstance {
     /// node memory is borrowed *shared* (many tenants at once under the
     /// session's read lock) and the scatter is staged into `stage` for a
     /// later exclusive commit, which must stamp the result's write
-    /// generation. Only lane-resident instances may take this path —
-    /// the caller checks [`PlanInstance::lane_resident`] — and the
+    /// generation. Only lane-mapped instances may take this path —
+    /// the caller checks [`ExecutionPlan::region_eligible`] — and the
     /// resident path cannot fail, so this returns a bare
     /// [`Measurement`].
     fn execute_region(
@@ -1234,7 +1233,10 @@ impl PlanInstance {
         stage: &mut RegionStage,
     ) -> Measurement {
         let _span = cmcc_obs::span(cmcc_obs::Phase::Execute);
-        assert!(self.lane_resident, "region executes require lane residency");
+        assert!(
+            self.lane_view.is_some(),
+            "region executes require a lane-mapped plan"
+        );
         let mirror_base = MirrorWords::of(&self.lane_mirror);
         let (run, comm, exchange_words, sync) = self.run_resident(cp, machine);
         let view = self
@@ -1291,7 +1293,7 @@ impl PlanInstance {
         let mut comm = 0;
         let mut sync = None;
         let depth = cp.temporal_depth();
-        let run = if self.lane_resident {
+        let run = if self.lane_view.is_some() {
             let (run, resident_comm, resident_exchange, resident_sync) =
                 self.run_resident(cp, machine);
             comm = resident_comm;
@@ -1356,36 +1358,7 @@ impl PlanInstance {
                 exchange_words += program.words_moved();
                 comm += program.run(machine);
             }
-            match &self.lane_view {
-                // The lockstep engine without residency: every node
-                // gathered into lane storage per execute, each resolved
-                // step broadcast across all lanes at once. The gather
-                // rereads every operand, but the packed streams persist:
-                // repack the strips reading an operand that changed.
-                Some(view) => {
-                    let (lane_strips, lane_kernels) = lane_schedule(&self.lane_strips_override, cp);
-                    for (copy, held) in self.lane_operands.iter().zip(&mut self.held_operands) {
-                        let now = Held::of(machine, copy.field);
-                        if *held != Some(now) {
-                            self.lane_streams[0].invalidate_words(lane_kernels, copy.lanes.clone());
-                            *held = Some(now);
-                        }
-                    }
-                    machine.run_resolved_lockstep_all_kernelized(
-                        lane_strips,
-                        if self.kernel_tier { lane_kernels } else { &[] },
-                        &mut self.lane_streams[0],
-                        view,
-                        cp.opts.threads,
-                        &mut self.lane_mirror,
-                    )
-                }
-                None => machine.run_resolved_all(
-                    self.rebase_node_strips(),
-                    cp.opts.mode,
-                    cp.opts.threads,
-                )?,
-            }
+            machine.run_resolved_all(self.rebase_node_strips(), cp.opts.mode, cp.opts.threads)?
         };
         Ok(self.finish(
             cp,
@@ -1414,9 +1387,7 @@ impl PlanInstance {
         } = tally;
         let d = MirrorWords::of(&self.lane_mirror).minus(&mirror_base);
         cmcc_obs::add(
-            if self.lane_resident {
-                cmcc_obs::Counter::LaneResidentRuns
-            } else if self.lane_view.is_some() {
+            if self.lane_view.is_some() {
                 cmcc_obs::Counter::LockstepRuns
             } else {
                 cmcc_obs::Counter::ScalarRuns
@@ -1504,17 +1475,14 @@ impl PlanInstance {
     /// Machine-total words copied per steady-state `execute` — the body
     /// behind [`ExecutionPlan::steady_state_copy_words`].
     fn steady_copy_words(&self, cp: &CompiledPlan) -> usize {
-        let scatter = |view: &LaneView| {
-            view.ranges()
+        if let Some(view) = &self.lane_view {
+            return view
+                .ranges()
                 .iter()
                 .filter(|r| r.writable && !r.private)
                 .map(|r| r.len)
                 .sum::<usize>()
-                * cp.nodes
-        };
-        if self.lane_resident {
-            let view = self.lane_view.as_ref().expect("resident plans are mapped");
-            return scatter(view);
+                * cp.nodes;
         }
         // Node-domain refresh: every source interior, plus (temporal
         // plans only) every named-coefficient interior feeding the
@@ -1547,14 +1515,7 @@ impl PlanInstance {
                     .map(ExchangeProgram::words_moved)
                     .sum()
             });
-        // Temporal plans never run the gather/scatter-per-execute lane
-        // path — without residency they fall back to the node-domain
-        // fused loop — so the mirror term only applies to depth-1 plans.
-        let mirror = match (&self.lane_view, &cp.temporal) {
-            (Some(view), None) => view.words() * cp.nodes + scatter(view),
-            _ => 0,
-        };
-        interior + exchange + mirror
+        interior + exchange
     }
 
     /// Machine-total words copied by a ping-pong execute on the
@@ -1566,7 +1527,7 @@ impl PlanInstance {
     /// steady-state figure (every execute already pays the full
     /// refresh).
     fn rebind_cycle_copy_words(&self, cp: &CompiledPlan) -> usize {
-        if !self.lane_resident {
+        if self.lane_view.is_none() {
             return self.steady_copy_words(cp);
         }
         let sources = cp.halos.len();
@@ -1678,11 +1639,11 @@ impl ExecutionPlan {
     /// Whether this plan's next execute can run region-leased: the
     /// lane-resident steady state, whose only node-memory writes are the
     /// final writable-range scatter (stageable), and whose execute
-    /// cannot fail. Everything else — scalar engine, non-resident
-    /// lockstep, aliased bindings, the node-domain temporal fallback —
-    /// writes node memory mid-execute and must keep the exclusive path.
+    /// cannot fail. Everything else — scalar engine, cycle mode,
+    /// aliased bindings, the node-domain temporal fallback — writes
+    /// node memory mid-execute and must keep the exclusive path.
     pub fn region_eligible(&self) -> bool {
-        self.inst.lane_resident
+        self.inst.lane_view.is_some()
     }
 
     /// Runs one iteration under *shared* machine access: gathers and
@@ -1718,7 +1679,7 @@ impl ExecutionPlan {
     /// two instances of one shared artifact must serialize.
     pub fn lease_ranges(&self) -> Vec<LeaseRange> {
         let cp = &*self.shared;
-        let owned_writable = !self.inst.lane_resident;
+        let owned_writable = self.inst.lane_view.is_none();
         let mut out = Vec::new();
         let mut push = |f: Field, writable: bool| {
             if !f.is_empty() {
@@ -1849,18 +1810,12 @@ impl ExecutionPlan {
 
     /// Whether `execute` currently runs the lockstep broadcast engine
     /// (fast mode, lockstep engine selected, current binding lane-mapped
-    /// without aliasing). False means the scalar fallback.
+    /// without aliasing). A lockstep plan is always lane-resident: the
+    /// mirror persists across executes, sources and the halo exchange
+    /// are applied directly to lane storage, and only writable ranges
+    /// are scattered back. False means the scalar fallback.
     pub fn uses_lockstep(&self) -> bool {
         self.inst.lane_view.is_some()
-    }
-
-    /// Whether `execute` currently runs the lane-resident steady state:
-    /// the mirror persists across executes, sources and the halo exchange
-    /// are applied directly to lane storage, and only writable ranges are
-    /// scattered back. False means per-execute gather/scatter (or the
-    /// scalar fallback when [`Self::uses_lockstep`] is also false).
-    pub fn uses_lane_resident(&self) -> bool {
-        self.inst.lane_resident
     }
 
     /// Turns the kernel tier on or off for subsequent executes. On by
@@ -1904,14 +1859,13 @@ impl ExecutionPlan {
     }
 
     /// Machine-total words copied per steady-state `execute` under the
-    /// current engine. Lane-resident plans reach a fixed point: while
+    /// current engine. Lockstep plans reach a fixed point: while
     /// nothing writes a bound source or coefficient, the mirror's copies
     /// stay current (the kernels write only the result range), so a
     /// steady iteration copies nothing but the writable-range scatter.
-    /// The other engines refresh per iteration: interior source copy +
-    /// halo-exchange moves, plus — on the non-resident lockstep engine —
-    /// the full mirror gather/scatter. Computed from the plan's
-    /// structure, so it cannot drift from what `execute` actually does.
+    /// The scalar path refreshes per iteration: interior source copy +
+    /// halo-exchange moves. Computed from the plan's structure, so it
+    /// cannot drift from what `execute` actually does.
     /// Fill words (border zeroing) are excluded: they are stores, not
     /// copies.
     pub fn steady_state_copy_words(&self) -> usize {
@@ -2265,8 +2219,8 @@ fn read_only_bits(view: &LaneView, mem: &cmcc_cm2::memory::NodeMemory) -> Vec<u3
 /// The binding-invariant half of the lane-resident programs for `view`:
 /// every halo exchange (sources first, then temporal coefficient halos)
 /// and the scratch boundary fix-ups of a temporal plan, translated onto
-/// the mirror. `None` when any fails to translate — the plan then runs
-/// without residency.
+/// the mirror. `None` when any fails to translate — the binding then
+/// runs scalar.
 fn lane_programs(
     cp: &CompiledPlan,
     view: &LaneView,
@@ -2308,8 +2262,7 @@ fn lane_interiors(
 /// [`RectCopy`] per source rewrites the mirror rows holding its halo
 /// buffer's interior from the (mirror-external) source array — the
 /// lane-resident `fill_interior`. Returns `None` when any halo buffer is
-/// not wholly inside one viewed range (then the plan keeps the
-/// gather/scatter steady state).
+/// not wholly inside one viewed range (then the binding runs scalar).
 fn lane_interior_copies(
     view: &LaneView,
     halos: &[HaloBuffer],
@@ -2443,7 +2396,7 @@ mod tests {
             PlanLifetime::Persistent,
         )
         .unwrap();
-        assert!(plan.uses_lane_resident(), "a clean binding stays resident");
+        assert!(plan.uses_lockstep(), "a clean binding is lane-mapped");
 
         // The first execute shapes the mirror; every later one recycles it.
         let first = plan.execute(&mut m).unwrap();
@@ -2461,20 +2414,12 @@ mod tests {
         );
         assert_eq!(m.alloc_count(), node_allocs, "execute must not allocate");
 
-        // Resident steady state skips the full gather, so it copies
-        // strictly fewer words than the same plan without residency.
-        let binding2 = StencilBinding::new(&compiled, &r, &[&x], &refs).unwrap();
-        let mut baseline = ExecutionPlan::build(
-            &mut m,
-            &binding2,
-            &ExecOptions::fast().with_lane_resident(false),
-            PlanLifetime::Persistent,
-        )
-        .unwrap();
-        assert!(!baseline.uses_lane_resident());
-        assert_eq!(baseline.execute(&mut m).unwrap(), first);
-        assert!(plan.steady_state_copy_words() < baseline.steady_state_copy_words());
-        baseline.release(&mut m);
+        // The steady state copies nothing but the writable scatter: the
+        // result range, on every node.
+        assert_eq!(
+            plan.steady_state_copy_words(),
+            r.field().len() * m.node_count()
+        );
         plan.release(&mut m);
     }
 
@@ -2745,7 +2690,7 @@ mod tests {
         let mut plan = ExecutionPlan::build(&mut m, &b, &fast, PlanLifetime::Persistent).unwrap();
         for i in [0, 1, 2, 1] {
             plan.rebind(&rs[i], &[&xs[i]], &[&cs[i]]).unwrap();
-            assert!(plan.uses_lane_resident());
+            assert!(plan.uses_lockstep());
             plan.execute(&mut m).unwrap();
         }
         let want = expect(&mut m, &xs[2], &cs[1]);

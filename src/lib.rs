@@ -894,11 +894,15 @@ impl Session {
                     shared.mirrors.put(stale.plan.take_mirror());
                 }
                 let mut plan = ExecutionPlan::from_shared(&cp, &binding)?;
-                let (mirror, missed) = shared.mirrors.take_counted();
-                if missed {
-                    cmcc_obs::add(cmcc_obs::Counter::MirrorPoolMisses, 1);
+                // Only lockstep instances touch a mirror; scalar and
+                // cycle-mode instances would hold a pooled one idle.
+                if plan.uses_lockstep() {
+                    let (mirror, missed) = shared.mirrors.take_counted();
+                    if missed {
+                        cmcc_obs::add(cmcc_obs::Counter::MirrorPoolMisses, 1);
+                    }
+                    plan.install_mirror(mirror);
                 }
-                plan.install_mirror(mirror);
                 self.plans.push(LocalPlan {
                     key,
                     plan,
@@ -946,9 +950,9 @@ impl Session {
             self.stage = stage;
             measurement
         } else {
-            // Not lane-resident (scalar engine, node-domain temporal,
-            // lockstep strips): the kernels write node memory in place,
-            // so run under the exclusive lock.
+            // Not lockstep (scalar engine, cycle mode, an aliased
+            // binding): the kernels write node memory in place, so run
+            // under the exclusive lock.
             let mut machine = shared.machine_write();
             self.plans[idx].plan.execute(&mut machine)?
         };

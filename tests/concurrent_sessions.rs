@@ -160,7 +160,8 @@ fn racing_tenants_build_each_plan_exactly_once_and_match_oracle() {
 /// After warmup the steady state allocates nothing: the tenant's lane
 /// mirror is reused run over run, and when a tenant handle retires its
 /// mirror recycles through the session pool into the next tenant's
-/// instance instead of a fresh allocation.
+/// instance instead of a fresh allocation. Only lockstep instances take
+/// a mirror from the pool: a cycle-mode run never misses it.
 #[test]
 fn steady_state_mirror_allocations_stay_flat_across_tenants() {
     cmcc::obs::set_enabled(true);
@@ -176,10 +177,31 @@ fn steady_state_mirror_allocations_stay_flat_across_tenants() {
     let r = session.array(ROWS, COLS).unwrap();
     fill_source(&x, &mut session.machine_mut());
 
+    // A cycle-mode instance runs the scalar pipeline model: no mirror.
+    session
+        .run_with_multi(
+            &compiled,
+            &r,
+            &[&x],
+            &[],
+            &ExecOptions::default().with_threads(1),
+        )
+        .unwrap();
+    assert_eq!(
+        session.mirror_pool_misses(),
+        0,
+        "a cycle-mode instance must not take a pooled mirror"
+    );
+
     // Warmup: instance creation + first execute may allocate the mirror.
     session
         .run_with_multi(&compiled, &r, &[&x], &[], &opts)
         .unwrap();
+    assert_eq!(
+        session.mirror_pool_misses(),
+        1,
+        "the first lockstep instance finds the pool empty"
+    );
     session
         .run_with_multi(&compiled, &r, &[&x], &[], &opts)
         .unwrap();

@@ -43,8 +43,7 @@ enum Path {
 fn lockstep() -> ExecOptions {
     let mut opts = ExecOptions::default()
         .with_threads(1)
-        .with_engine(ExecEngine::Lockstep)
-        .with_lane_resident(true);
+        .with_engine(ExecEngine::Lockstep);
     opts.mode = ExecMode::Fast;
     opts
 }
@@ -133,10 +132,7 @@ impl Rig {
         };
         let plan = &mut self.plans[idx].1;
         plan.rebind(result, &[source], &coeffs).expect("rebinds");
-        assert!(
-            plan.uses_lane_resident(),
-            "the case needs a lane-resident plan"
-        );
+        assert!(plan.uses_lockstep(), "the case needs a lane-resident plan");
         match self.path {
             Path::Exclusive => {
                 plan.execute(&mut machine).expect("executes");
@@ -163,30 +159,21 @@ fn differing(a: &[u32], b: &[u32]) -> usize {
     a.iter().zip(b).filter(|(x, y)| x != y).count()
 }
 
-/// Runs `case` on the scalar oracle, on every lane-resident path, and
-/// on the lockstep engine without residency (whose per-execute gather
-/// rereads every operand but whose packed coefficient streams persist),
-/// and requires every snapshot the case returns to match bit for bit.
+/// Runs `case` on the scalar oracle and on every lane-resident path, and
+/// requires every snapshot the case returns to match bit for bit.
 fn check_every_path(name: &str, case: impl Fn(&mut Rig) -> Vec<Vec<u32>>) {
     let oracle = case(&mut Rig::new(Path::Session, scalar()));
-    let rigs = [
-        (Path::Session, lockstep()),
-        (Path::Exclusive, lockstep()),
-        (Path::Region, lockstep()),
-        (Path::Session, lockstep().with_lane_resident(false)),
-    ];
-    for (path, opts) in rigs {
-        let mut rig = Rig::new(path, opts);
+    for path in [Path::Session, Path::Exclusive, Path::Region] {
+        let mut rig = Rig::new(path, lockstep());
         let got = case(&mut rig);
-        let resident = opts.lane_resident;
         for (i, (want, got)) in oracle.iter().zip(&got).enumerate() {
             assert_eq!(
                 differing(want, got),
                 0,
-                "{name}, {path:?} path (lane_resident {resident}): snapshot {i} differs from the scalar engine"
+                "{name}, {path:?} path: snapshot {i} differs from the scalar engine"
             );
         }
-        if path == Path::Session && resident {
+        if path == Path::Session {
             let stats = rig.session.lease_stats();
             assert_eq!(stats.conflicts, 0, "a single tenant never conflicts");
             assert!(stats.region_grants > 0, "the session took the region path");
