@@ -43,10 +43,12 @@ depth, and observed copy words equal to the analytic prediction.
 
 With ``--bench-serve FILE`` it instead validates the schema of the
 ``repro_serve`` bench output (``BENCH_serve.json``) and re-checks its
-recorded gates: concurrent results bit-identical to the serialized
-baseline, zero live leases after the pool drains, at least one region
-grant, and — when the speedup gate was asserted (2+ cores) — ≥1.5×
-throughput with the overlap probe having counted an exclusive fallback.
+recorded gates: every phase's results bit-identical, zero live leases
+after the pool drains, at least one region grant, at least 5
+interleaved rounds with well-formed per-phase spreads (0 < min <=
+median, IQR >= 0), and — when the speedup gate was asserted (2+
+cores) — ≥1.5× throughput with the overlap probe having counted a
+conflict.
 
 Usage:
     cmcc --run --iters 3 --profile=json five.f90 | python3 ci/check_profile_schema.py
@@ -334,8 +336,15 @@ BENCH_SERVE_EXPECTED = [
     ("subgrid", list),
     ("host_cores", numbers.Integral),
     ("iters", numbers.Integral),
+    ("rounds", numbers.Integral),
     ("concurrent_secs", numbers.Real),
     ("serialized_secs", numbers.Real),
+    ("concurrent.min", numbers.Real),
+    ("concurrent.median", numbers.Real),
+    ("concurrent.iqr", numbers.Real),
+    ("serialized.min", numbers.Real),
+    ("serialized.median", numbers.Real),
+    ("serialized.iqr", numbers.Real),
     ("concurrent_runs_per_sec", numbers.Real),
     ("serialized_runs_per_sec", numbers.Real),
     ("speedup", numbers.Real),
@@ -372,7 +381,16 @@ def check_bench_serve(path):
     if bench.get("live_leases_after") != 0:
         errors.append("%s: leases leaked after the pool drained" % path)
     if not bench.get("region_grants", 0) > 0:
-        errors.append("%s: no execute ever took the region-lease path" % path)
+        errors.append("%s: no lane-resident execute was ever granted" % path)
+    if not bench.get("rounds", 0) >= 5:
+        errors.append("%s: fewer than 5 interleaved rounds" % path)
+    for phase in ("concurrent", "serialized"):
+        spread = bench.get(phase)
+        try:
+            if not 0 < spread["min"] <= spread["median"] or spread["iqr"] < 0:
+                errors.append("%s: %s spread is malformed: %r" % (path, phase, spread))
+        except (KeyError, TypeError):
+            pass  # already reported as a missing or mistyped key
     gate = bench.get("gate", "")
     if not gate.startswith(("asserted", "skipped")):
         errors.append("%s: gate %r is not a recognized disposition" % (path, gate))
@@ -381,8 +399,7 @@ def check_bench_serve(path):
             errors.append("%s: gate asserted but speedup < 1.5x" % path)
         if not bench.get("overlap_conflicts", 0) > 0:
             errors.append(
-                "%s: gate asserted but the overlap probe counted no exclusive fallback"
-                % path
+                "%s: gate asserted but the overlap probe counted no conflict" % path
             )
     if errors:
         sys.exit("\n".join(errors))

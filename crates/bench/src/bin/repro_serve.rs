@@ -1,26 +1,36 @@
-//! Serve-pool throughput benchmark: region leases vs the exclusive lock.
+//! Serve-pool throughput benchmark: region leases vs one execute at a
+//! time.
 //!
 //! Four tenant threads share one [`Session`] (one machine, one plan
 //! cache) and each repeatedly executes its own stencil on its own
 //! arrays — fully disjoint plans, the stencil-as-a-service steady
-//! state. The same workload runs twice: once through the region-lease
-//! admission path (disjoint executes proceed concurrently under the
-//! shared machine lock) and once serialized by an external mutex
-//! around every execute — the behavior of the pre-lease session, where
-//! the global write lock admitted one execute at a time. Throughput of
-//! both phases, the lease counters, and an overlapping-plan conflict
-//! probe are written to `BENCH_serve.json`.
+//! state. The same workload runs in two phases: concurrent, admitted
+//! through the region-lease table (disjoint executes proceed at once,
+//! each holding the machine lock only for its node-memory copies), and
+//! serialized by an external mutex around every execute — the behavior
+//! of a session whose global lock admits one execute at a time.
+//!
+//! One phase takes about a tenth of a second, so a single timing of
+//! each reads anywhere from well below to well above the true ratio.
+//! The phases therefore alternate over [`ROUNDS`] rounds (the first
+//! phase flipping each round), and the speedup is the ratio of the
+//! per-phase minimums — the round least disturbed by the rest of the
+//! host. `BENCH_serve.json` records the round count and each phase's
+//! min/median/IQR next to it, plus the lease counters and an
+//! overlapping-plan conflict probe.
 //!
 //! ```sh
 //! cargo run --release -p cmcc-bench --bin repro_serve
 //! cargo run --release -p cmcc-bench --bin repro_serve -- --smoke
 //! ```
 //!
-//! `--smoke` drops the iteration count (for CI). The ≥1.5× speedup
-//! assertion applies only on hosts with 2+ cores; on one core the
-//! numbers are still recorded, with the skip reason in the JSON.
+//! `--smoke` drops the iterations per round (for CI), never the rounds.
+//! The ≥1.5× speedup assertion applies only on hosts with 2+ cores; on
+//! one core the numbers are still recorded, with the skip reason in the
+//! JSON.
 
 use cmcc::Session;
+use cmcc_bench::Spread;
 use cmcc_cm2::exec::{ExecEngine, ExecMode};
 use cmcc_core::compiler::CompiledStencil;
 use cmcc_core::patterns::PaperPattern;
@@ -33,8 +43,11 @@ use std::time::Instant;
 
 const WORKERS: usize = 4;
 const SUBGRID: (usize, usize) = (64, 64);
+/// Iterations per tenant per phase per round.
 const FULL_ITERS: usize = 30;
 const SMOKE_ITERS: usize = 4;
+/// Alternating rounds of the two phases, in both modes.
+const ROUNDS: usize = 7;
 
 /// One tenant: a session handle plus its private plan and arrays.
 struct Tenant {
@@ -53,13 +66,15 @@ impl Tenant {
             .expect("bench execute succeeds");
     }
 
-    fn result(&self) -> Vec<f32> {
-        self.r.gather(&self.session.machine())
+    /// The result array's bits.
+    fn result(&self) -> Vec<u32> {
+        let values = self.r.gather(&self.session.machine());
+        values.iter().map(|v| v.to_bits()).collect()
     }
 }
 
 /// Runs every tenant for `iters` iterations on its own thread,
-/// optionally serializing each execute through `lock` (the exclusive
+/// optionally serializing each execute through `lock` (the one-at-a-time
 /// baseline). Returns elapsed wall-clock seconds for the whole pool.
 fn timed_pool(tenants: &mut [Tenant], iters: usize, lock: Option<&Mutex<()>>) -> f64 {
     let opts = exec_opts();
@@ -85,8 +100,8 @@ fn timed_pool(tenants: &mut [Tenant], iters: usize, lock: Option<&Mutex<()>>) ->
     start.elapsed().as_secs_f64()
 }
 
-/// Lane-resident lockstep execution (region-eligible), one host thread
-/// per tenant so the pool's parallelism comes from the lease table.
+/// Lane-resident lockstep execution, one host thread per tenant so the
+/// pool's parallelism comes from the lease table.
 fn exec_opts() -> ExecOptions {
     let mut opts = ExecOptions::default()
         .with_threads(1)
@@ -100,10 +115,10 @@ fn main() {
     let iters = if smoke { SMOKE_ITERS } else { FULL_ITERS };
     let cores = cmcc_bench::host_cores();
 
-    println!("Serve-pool throughput benchmark: region leases vs exclusive lock");
+    println!("Serve-pool throughput benchmark: region leases vs one execute at a time");
     println!(
         "{WORKERS} tenants x disjoint plans, {}x{} per node on the 16-node board, \
-         {cores} host core(s), {iters} iters per tenant per phase\n",
+         {cores} host core(s), {ROUNDS} rounds x {iters} iters per tenant per phase\n",
         SUBGRID.0, SUBGRID.1
     );
 
@@ -160,32 +175,39 @@ fn main() {
         .iter()
         .map(|t| t.session.last_plan().is_some_and(|p| p.uses_lockstep()))
         .collect();
-    let leases_before = root.lease_stats();
 
-    // Phase 1: concurrent, admission through the lease table.
-    let concurrent_secs = timed_pool(&mut tenants, iters, None);
-    let concurrent_results: Vec<Vec<f32>> = tenants.iter().map(Tenant::result).collect();
-    let after_concurrent = root.lease_stats();
-
-    // Phase 2: the pre-lease baseline — one execute at a time, enforced
-    // by an external mutex exactly where the global write lock used to
-    // serialize the pool.
+    // The two phases alternate, the first flipping each round. The
+    // serialized phase is the baseline: one execute at a time, enforced
+    // by an external mutex around every execute. Every phase computes
+    // the same pure function of the inputs, so every phase's results
+    // must equal the first's bit for bit.
     let serialize = Mutex::new(());
-    let serialized_secs = timed_pool(&mut tenants, iters, Some(&serialize));
-    let serialized_results: Vec<Vec<f32>> = tenants.iter().map(Tenant::result).collect();
-
-    let bit_identical = concurrent_results
-        .iter()
-        .zip(&serialized_results)
-        .all(|(a, b)| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-        });
-    let region_grants = after_concurrent.region_grants - leases_before.region_grants;
-    let peak_concurrent = after_concurrent.peak_concurrent;
+    let mut concurrent = Vec::with_capacity(ROUNDS);
+    let mut serialized = Vec::with_capacity(ROUNDS);
+    let mut first_results = None;
+    let mut bit_identical = true;
+    let mut region_grants = 0;
+    for round in 0..ROUNDS {
+        for serial in [round % 2 == 1, round % 2 == 0] {
+            let before = root.lease_stats().region_grants;
+            let secs = timed_pool(&mut tenants, iters, serial.then_some(&serialize));
+            if serial {
+                serialized.push(secs);
+            } else {
+                concurrent.push(secs);
+                region_grants += root.lease_stats().region_grants - before;
+            }
+            let results: Vec<Vec<u32>> = tenants.iter().map(Tenant::result).collect();
+            bit_identical &= *first_results.get_or_insert_with(|| results.clone()) == results;
+        }
+    }
+    let concurrent = Spread::of(&concurrent);
+    let serialized = Spread::of(&serialized);
+    let peak_concurrent = root.lease_stats().peak_concurrent;
 
     // Overlap probe: two handles race the *same* plan bound to the same
     // result array, so their leases overlap on a writable range — the
-    // exclusive fallback must be taken *and counted*, never silent.
+    // later request must wait its turn *counted*, never silently.
     // Overlap in time is scheduling-dependent, so retry in rounds.
     let conflicts_before = root.lease_stats().conflicts;
     let mut overlap_rounds = 0;
@@ -219,14 +241,18 @@ fn main() {
     let overlap_conflicts = root.lease_stats().conflicts - conflicts_before;
     let final_leases = root.lease_stats();
 
-    let speedup = serialized_secs / concurrent_secs;
+    let speedup = serialized.min / concurrent.min;
     let runs = (WORKERS * iters) as f64;
-    println!(
-        "  concurrent: {concurrent_secs:.3} s ({:.1} runs/s), serialized: {serialized_secs:.3} s \
-         ({:.1} runs/s) -> speedup {speedup:.2}x",
-        runs / concurrent_secs,
-        runs / serialized_secs,
-    );
+    for (phase, s) in [("concurrent", concurrent), ("serialized", serialized)] {
+        println!(
+            "  {phase}: min {:.3} s ({:.1} runs/s), median {:.3} s, IQR {:.3} s",
+            s.min,
+            runs / s.min,
+            s.median,
+            s.iqr,
+        );
+    }
+    println!("  speedup (ratio of minimums over {ROUNDS} rounds): {speedup:.2}x");
     println!(
         "  leases: {region_grants} region grants, peak {peak_concurrent} concurrent, \
          overlap probe counted {overlap_conflicts} conflicts in {overlap_rounds} round(s), \
@@ -242,8 +268,9 @@ fn main() {
     let resident_json: Vec<String> = lane_resident.iter().map(bool::to_string).collect();
     let json = format!(
         "{{\n  \"workers\": {WORKERS},\n  \"subgrid\": [{}, {}],\n  \"host_cores\": {cores},\n  \
-         \"iters\": {iters},\n  \"concurrent_secs\": {concurrent_secs:.6},\n  \
-         \"serialized_secs\": {serialized_secs:.6},\n  \
+         \"iters\": {iters},\n  \"rounds\": {ROUNDS},\n  \
+         \"concurrent_secs\": {:.6},\n  \"serialized_secs\": {:.6},\n  \
+         \"concurrent\": {},\n  \"serialized\": {},\n  \
          \"concurrent_runs_per_sec\": {:.4},\n  \"serialized_runs_per_sec\": {:.4},\n  \
          \"speedup\": {speedup:.4},\n  \"region_grants\": {region_grants},\n  \
          \"peak_concurrent\": {peak_concurrent},\n  \
@@ -253,8 +280,12 @@ fn main() {
          \"scaling_gate\": \"{gate}\"\n}}\n",
         SUBGRID.0,
         SUBGRID.1,
-        runs / concurrent_secs,
-        runs / serialized_secs,
+        concurrent.min,
+        serialized.min,
+        concurrent.to_json(),
+        serialized.to_json(),
+        runs / concurrent.min,
+        runs / serialized.min,
         final_leases.live,
         resident_json.join(", "),
     );
@@ -263,7 +294,7 @@ fn main() {
 
     assert!(
         bit_identical,
-        "concurrent results diverge from the serialized baseline"
+        "a phase's results diverge from the first phase's"
     );
     assert_eq!(
         final_leases.live, 0,
@@ -272,12 +303,12 @@ fn main() {
     );
     assert!(
         region_grants > 0,
-        "disjoint lane-resident plans never took the region path"
+        "disjoint lane-resident plans never counted a region grant"
     );
     if cores >= 2 {
         assert!(
             overlap_conflicts > 0,
-            "overlapping plans never counted an exclusive fallback"
+            "overlapping plans never counted a conflict"
         );
         assert!(
             speedup >= 1.5,

@@ -27,13 +27,18 @@
 //! this workload every strip must classify into the family, which is
 //! also the CI smoke gate (it runs under `--quick` too).
 //!
-//! A third pass re-times the lockstep engine with `cmcc_obs` profiling
-//! *enabled* — and the flight recorder pinned *off* — and asserts the
-//! overhead stays under 2% in full mode. The first two passes run with
-//! profiling disabled, so the asserted on/off delta also bounds the cost
-//! of the disabled instrumentation paths (branch-on-a-relaxed-atomic for
-//! the counters, one relaxed load per would-be trace event) that every
-//! build now carries.
+//! A third pass measures what `cmcc_obs` profiling costs the lockstep
+//! engine, with the flight recorder pinned *off*, and asserts it stays
+//! under 2% in full mode. The design is paired: one plan alternates
+//! profiling-disabled and profiling-enabled batches of executes (which
+//! batch goes first flips each pair), each pair yields one on/off time
+//! ratio, and the overhead is the median ratio minus one, with the
+//! ratios' IQR recorded next to it. Comparing minimums of two separately
+//! built plans instead let host noise pick the sign: one such run read
+//! −20.71%. The disabled batches run the same instrumented build, so
+//! the bound also covers the disabled instrumentation paths
+//! (branch-on-a-relaxed-atomic for the counters, one relaxed load per
+//! would-be trace event) that every build carries.
 //!
 //! ```sh
 //! cargo run --release -p cmcc-bench --bin repro_simd
@@ -43,7 +48,7 @@
 //! `--quick` runs 2 timed iterations per engine and checks equivalence
 //! only (for CI, where wall-clock ratios on shared runners are noise).
 
-use cmcc_bench::Workload;
+use cmcc_bench::{Spread, Workload};
 use cmcc_cm2::config::MachineConfig;
 use cmcc_cm2::timing::Measurement;
 use cmcc_core::patterns::PaperPattern;
@@ -56,6 +61,62 @@ use std::time::Instant;
 const SUBGRID: (usize, usize) = (128, 128);
 const FULL_ITERS: usize = 20;
 const WARMUP: usize = 2;
+/// Profiling on/off batch pairs, and executes per batch, in full mode
+/// (`--quick` runs 5 pairs of 1).
+const OVERHEAD_PAIRS: usize = 15;
+const OVERHEAD_BATCH: usize = 5;
+
+/// Times profiling on against profiling off on one lockstep plan over
+/// `w`: `pairs` pairs of `batch`-execute batches, alternating which
+/// setting runs first, each pair giving one on/off time ratio. The
+/// flight recorder stays off and profiling ends disabled. Returns the
+/// ratios' spread, the kernelized and interpreted lockstep steps counted
+/// while enabled, the measurement, and the gathered result.
+fn profiling_overhead(
+    w: &mut Workload,
+    pairs: usize,
+    batch: usize,
+) -> (Spread, u64, u64, Measurement, Vec<f32>) {
+    let opts = ExecOptions::fast()
+        .with_engine(ExecEngine::Lockstep)
+        .with_threads(1);
+    let refs: Vec<&CmArray> = w.coeffs.iter().collect();
+    let binding =
+        StencilBinding::new(&w.compiled, &w.r, &[&w.x], &refs).expect("bench binding is valid");
+    let mark = w.machine.alloc_mark();
+    let mut plan = ExecutionPlan::build(&mut w.machine, &binding, &opts, PlanLifetime::Scoped)
+        .expect("bench plan builds");
+    cmcc_obs::trace::set_trace_enabled(false);
+    let mut m = plan.execute(&mut w.machine).expect("bench plan executes");
+    for _ in 1..WARMUP {
+        m = plan.execute(&mut w.machine).expect("bench plan executes");
+    }
+    let counters_before = cmcc_obs::snapshot();
+    let mut ratios = Vec::with_capacity(pairs);
+    for pair in 0..pairs {
+        let mut secs = [0.0f64; 2];
+        for enabled in [pair % 2 == 1, pair % 2 == 0] {
+            cmcc_obs::set_enabled(enabled);
+            let start = Instant::now();
+            for _ in 0..batch {
+                m = plan.execute(&mut w.machine).expect("bench plan executes");
+            }
+            secs[enabled as usize] = start.elapsed().as_secs_f64();
+        }
+        ratios.push(secs[1] / secs[0]);
+    }
+    cmcc_obs::set_enabled(false);
+    let counters = cmcc_obs::snapshot().delta(&counters_before);
+    let result = w.r.gather(&w.machine);
+    w.machine.release_to(mark);
+    (
+        Spread::of(&ratios),
+        counters.get(cmcc_obs::Counter::KernelizedSteps),
+        counters.get(cmcc_obs::Counter::InterpretedSteps),
+        m,
+        result,
+    )
+}
 
 /// Builds a persistent plan for `w` under `engine`, replays it
 /// `WARMUP + iters` times, and returns the best steady-state seconds per
@@ -157,42 +218,37 @@ fn main() {
         "the kernel tier must not change results"
     );
 
-    // Third pass: identical lockstep workload with profiling counters
-    // live, to measure the telemetry overhead — and to gate kernel
-    // coverage: on the 9-point workload no lockstep step may fall back
-    // to the interpreter.
+    // Third pass: profiling on against profiling off, paired on one
+    // lockstep plan over an identical workload — and the kernel
+    // coverage gate: on the 9-point workload no lockstep step may fall
+    // back to the interpreter.
     let mut profiled_w = Workload::new(
         MachineConfig::test_board_16(),
         PaperPattern::Square9,
         SUBGRID,
     );
-    cmcc_obs::set_enabled(true);
-    // Pin the flight recorder OFF for the profiled pass: the <2%
-    // overhead budget asserted below covers the counters plus the
-    // compiled-in-but-disabled trace path (one relaxed atomic load per
-    // would-be event) that every instrumented crate now carries.
-    cmcc_obs::trace::set_trace_enabled(false);
-    let counters_before = cmcc_obs::snapshot();
-    let (profiled_secs, profiled_m, profiled_r, _) =
-        time_engine(&mut profiled_w, ExecEngine::Lockstep, iters, true);
-    let counters_after = cmcc_obs::snapshot();
-    cmcc_obs::set_enabled(false);
-    let kernelized_steps = counters_after.get(cmcc_obs::Counter::KernelizedSteps)
-        - counters_before.get(cmcc_obs::Counter::KernelizedSteps);
-    let interpreted_steps = counters_after.get(cmcc_obs::Counter::InterpretedSteps)
-        - counters_before.get(cmcc_obs::Counter::InterpretedSteps);
+    let (pairs, batch) = if quick {
+        (5, 1)
+    } else {
+        (OVERHEAD_PAIRS, OVERHEAD_BATCH)
+    };
+    let (ratios, kernelized_steps, interpreted_steps, profiled_m, profiled_r) =
+        profiling_overhead(&mut profiled_w, pairs, batch);
     assert!(
         kernelized_steps > 0,
-        "the profiled lockstep pass must run kernelized steps"
+        "the profiled lockstep batches must run kernelized steps"
     );
     assert_eq!(
         interpreted_steps, 0,
         "no lockstep step may fall back to the interpreter on the 9-point workload"
     );
-    let profile_overhead = profiled_secs / lockstep_secs - 1.0;
+    let profile_overhead = ratios.median - 1.0;
+    let overhead_iqr = ratios.iqr;
     println!(
-        "  lockstep (profiled): {profiled_secs:.6} s/iter ({:+.2}% overhead)",
-        profile_overhead * 100.0
+        "  lockstep profiling overhead: {:+.2}% (median of {pairs} paired on/off batch \
+         ratios, IQR {:.2}%)",
+        profile_overhead * 100.0,
+        overhead_iqr * 100.0
     );
     assert_eq!(
         profiled_m, lockstep_m,
@@ -219,9 +275,9 @@ fn main() {
          bit-identical: {bit_identical}; measurements equal: {measurement_equal}"
     );
 
-    // The profiled pass executes the plan WARMUP + iters times; the JSON
-    // records the per-execution step count so it is iteration-invariant.
-    let kernelized_steps_per_run = kernelized_steps / (WARMUP + iters) as u64;
+    // The JSON records the per-execute step count of the profiled
+    // batches, so it is invariant to the batch sizes.
+    let kernelized_steps_per_run = kernelized_steps / (pairs * batch) as u64;
     let cores = cmcc_bench::host_cores();
     let scaling_gate = if quick {
         "recorded only (--quick: wall-clock ratios not asserted)".to_owned()
@@ -237,8 +293,9 @@ fn main() {
          \"lockstep_interpreted_secs_per_iter\": {interp_secs:.6},\n  \
          \"scalar_copy_bytes_per_iter\": {scalar_copy_bytes},\n  \
          \"lockstep_copy_bytes_per_iter\": {lockstep_copy_bytes},\n  \
-         \"profiled_secs_per_iter\": {profiled_secs:.6},\n  \
+         \"profiling_pairs\": {pairs},\n  \"profiling_batch\": {batch},\n  \
          \"profiling_overhead\": {profile_overhead:.4},\n  \
+         \"profiling_overhead_iqr\": {overhead_iqr:.4},\n  \
          \"kernelized_steps_per_run\": {kernelized_steps_per_run},\n  \
          \"interpreted_steps_per_run\": {interpreted_steps},\n  \
          \"speedup\": {speedup:.4},\n  \"kernel_speedup\": {kernel_speedup:.4},\n  \

@@ -78,6 +78,52 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
+/// Order statistics of repeated timings: the minimum, the median and
+/// the interquartile range (quartiles by linear interpolation). Benches
+/// that gate on a ratio take it from repeated rounds through this
+/// rather than from one sample, and record all three next to it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// Smallest sample.
+    pub min: f64,
+    /// Median sample.
+    pub median: f64,
+    /// Third quartile minus first quartile.
+    pub iqr: f64,
+}
+
+impl Spread {
+    /// The spread of `samples`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty or holds a NaN.
+    pub fn of(samples: &[f64]) -> Spread {
+        assert!(!samples.is_empty(), "a spread needs at least one sample");
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples are not NaN"));
+        let quantile = |q: f64| {
+            let pos = q * (sorted.len() - 1) as f64;
+            let lo = pos.floor() as usize;
+            let hi = pos.ceil() as usize;
+            sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+        };
+        Spread {
+            min: sorted[0],
+            median: quantile(0.5),
+            iqr: quantile(0.75) - quantile(0.25),
+        }
+    }
+
+    /// The spread as a JSON object, `{"min":…,"median":…,"iqr":…}`.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"min\": {:.6}, \"median\": {:.6}, \"iqr\": {:.6}}}",
+            self.min, self.median, self.iqr
+        )
+    }
+}
+
 /// A ready-to-run measurement setup.
 pub struct Workload {
     /// The machine under test.
@@ -175,6 +221,15 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spread_takes_interpolated_quartiles() {
+        let s = Spread::of(&[5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!((s.min, s.median, s.iqr), (1.0, 3.0, 2.0));
+        let s = Spread::of(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!((s.min, s.median, s.iqr), (1.0, 2.5, 1.5));
+        assert_eq!(Spread::of(&[7.0]).iqr, 0.0);
+    }
 
     #[test]
     fn workload_round_trips() {

@@ -398,21 +398,6 @@ impl LaneMemory {
         }
     }
 
-    /// Transposes every *writable*, non-private viewed range into staged
-    /// node-major buffers (`bufs[i]` holds range `i`'s words for this
-    /// group's lanes, one contiguous `len`-word run per lane) instead of
-    /// writing node memory — the group-local half of
-    /// [`LaneMirror::scatter_stage`].
-    fn scatter_to_stage(&self, view: &LaneView, bufs: Vec<&mut [f32]>) {
-        let nodes = self.nodes;
-        let ranges = view.ranges().iter().filter(|r| r.writable && !r.private);
-        for (range, buf) in ranges.zip(bufs) {
-            let mut dsts: Vec<&mut [f32]> = buf.chunks_exact_mut(range.len).collect();
-            let src = &self.data[range.lane_base * nodes..(range.lane_base + range.len) * nodes];
-            transpose_out(src, &mut dsts);
-        }
-    }
-
     /// Copies every *writable*, non-private viewed range from the mirror
     /// back into `mems`.
     ///
@@ -436,16 +421,16 @@ impl LaneMemory {
 
 /// Words per lane that one step of a blocked transpose moves.
 ///
-/// Node streams sit a power of two apart (node memories are 2^22 words,
-/// a staged buffer's lanes one range length apart), so the same word of
-/// every lane maps to the same cache sets: copying word by word across
-/// all lanes evicts each node-side line before it fills. A block instead
-/// covers `TRANSPOSE_BLOCK` words of every lane — 4 KiB of mirror at 16
-/// lanes, which stays in L1 — and walks it lane by lane, so each node
-/// stream is read or written as one contiguous run of whole cache lines.
-/// Measured on the 16-lane 128×128-per-node staged scatter (Xeon, 48 KiB
-/// L1d): 32 and 64 words ran at ~0.12–0.13 ms against ~1.1 ms unblocked,
-/// 128 at ~0.17 ms; gathers were flat across the three, so 64 is kept.
+/// Node streams sit a power of two apart (node memories are 2^22 words),
+/// so the same word of every lane maps to the same cache sets: copying
+/// word by word across all lanes evicts each node-side line before it
+/// fills. A block instead covers `TRANSPOSE_BLOCK` words of every lane —
+/// 4 KiB of mirror at 16 lanes, which stays in L1 — and walks it lane by
+/// lane, so each node stream is read or written as one contiguous run of
+/// whole cache lines. Measured on a 16-lane 128×128-per-node scatter into
+/// node-major buffers (Xeon, 48 KiB L1d): 32 and 64 words ran at
+/// ~0.12–0.13 ms against ~1.1 ms unblocked, 128 at ~0.17 ms; gathers
+/// were flat across the three, so 64 is kept.
 const TRANSPOSE_BLOCK: usize = 64;
 
 /// Node → lane transpose: fills the word-major `dst` (`dst.len() /
@@ -682,45 +667,6 @@ impl LaneMirror {
         self.scattered_words += moved as u64;
     }
 
-    /// The region-path counterpart of [`LaneMirror::scatter`]: transposes
-    /// every writable, non-private viewed range into `stage`'s node-major
-    /// buffers instead of writing node memory. A region-leased execute
-    /// holds only a *shared* machine borrow, so its writes are staged
-    /// here and committed later with [`RegionStage::apply`] under a brief
-    /// exclusive lock. Counts the same scattered words as a direct
-    /// scatter (the commit itself counts nothing), so traffic telemetry
-    /// is path-independent. Fans groups across host threads for large
-    /// views; stage buffers are recycled across executes.
-    pub fn scatter_stage(&mut self, view: &LaneView, stage: &mut RegionStage) {
-        let moved = view.scatter_words() * self.nodes;
-        let _t = cmcc_obs::trace::scope(cmcc_obs::trace::TraceOp::MirrorScatter, moved as u64);
-        stage.shape(view, self.nodes, self.chunk);
-        // Slice each range's buffer at group boundaries: group `g`'s
-        // lanes own the contiguous node-major run `base*len..(base+n)*len`.
-        let mut per_group: Vec<Vec<&mut [f32]>> = self.groups.iter().map(|_| Vec::new()).collect();
-        for buf in &mut stage.bufs {
-            let len = buf.len() / self.nodes;
-            let mut rest = &mut buf[..];
-            for (g, group) in self.groups.iter().enumerate() {
-                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(group.nodes() * len);
-                rest = tail;
-                per_group[g].push(mine);
-            }
-        }
-        if self.groups.len() > 1 && moved >= PAR_COPY_THRESHOLD {
-            std::thread::scope(|scope| {
-                for (group, bufs) in self.groups.iter().zip(per_group) {
-                    scope.spawn(move || group.scatter_to_stage(view, bufs));
-                }
-            });
-        } else {
-            for (group, bufs) in self.groups.iter().zip(per_group) {
-                group.scatter_to_stage(view, bufs);
-            }
-        }
-        self.scattered_words += moved as u64;
-    }
-
     /// Copies a rectangle of every node's memory into the mirror — see
     /// [`LaneMemory::gather_rows`]. Fans groups across host threads for
     /// large rectangles.
@@ -857,104 +803,6 @@ impl LaneMirror {
         let (g, l) = self.locate_lane(node);
         for k in 0..len {
             self.groups[g].set_lane_value(w0 + k, l, value);
-        }
-    }
-}
-
-/// The writable image of one lane-resident execute, staged off to the
-/// side in node-major order.
-///
-/// Region-leased executes run under a *shared* machine lock (many
-/// tenants at once) and therefore cannot scatter into node memory
-/// directly. [`LaneMirror::scatter_stage`] transposes the mirror's
-/// writable ranges into these buffers while still under the shared lock
-/// — the expensive lane-major → node-major transpose — and
-/// [`RegionStage::apply`] then commits them under a brief exclusive
-/// lock as one contiguous slice copy per (node, range) pair.
-///
-/// Buffers are recycled across executes (a steady state stages
-/// allocation-free), and [`RegionStage::ranges`] exposes exactly which
-/// node ranges the commit will touch so the caller can assert they are
-/// contained in the execute's leased writable ranges.
-#[derive(Debug, Default)]
-pub struct RegionStage {
-    /// `(node_base, len)` per staged range, in view order.
-    ranges: Vec<(usize, usize)>,
-    /// One node-major buffer per range: lane `n`'s words at
-    /// `n*len..(n+1)*len`.
-    bufs: Vec<Vec<f32>>,
-    nodes: usize,
-    chunk: usize,
-}
-
-impl RegionStage {
-    /// An empty stage; shaped by the first [`LaneMirror::scatter_stage`].
-    pub fn new() -> Self {
-        RegionStage::default()
-    }
-
-    /// The staged `(node_base, len)` node ranges, in view order. Empty
-    /// until the first `scatter_stage`.
-    pub fn ranges(&self) -> &[(usize, usize)] {
-        &self.ranges
-    }
-
-    /// Machine-total staged words.
-    pub fn words(&self) -> usize {
-        self.ranges.iter().map(|&(_, len)| len).sum::<usize>() * self.nodes
-    }
-
-    /// Reshapes to `view`'s writable, non-private ranges, recycling
-    /// buffers where sizes allow.
-    fn shape(&mut self, view: &LaneView, nodes: usize, chunk: usize) {
-        self.nodes = nodes;
-        self.chunk = chunk.max(1);
-        self.ranges.clear();
-        let mut spare = std::mem::take(&mut self.bufs);
-        for range in view.ranges().iter().filter(|r| r.writable && !r.private) {
-            self.ranges.push((range.node_base, range.len));
-            let mut buf = spare.pop().unwrap_or_default();
-            buf.resize(range.len * nodes, 0.0);
-            self.bufs.push(buf);
-        }
-    }
-
-    /// Commits the staged image to node memories: per range, each node's
-    /// words are one contiguous slice copy. Fans node chunks across host
-    /// threads for large stages (bit-deterministic — every (node, range)
-    /// destination is disjoint).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mems.len()` differs from the staged node count or a
-    /// range is out of a node memory's bounds.
-    pub fn apply(&self, mems: &mut [NodeMemory]) {
-        assert_eq!(mems.len(), self.nodes, "one node memory per staged lane");
-        let total = self.words();
-        if self.nodes > self.chunk && total >= PAR_COPY_THRESHOLD {
-            std::thread::scope(|scope| {
-                let mut rest = &mut mems[..];
-                let mut base = 0;
-                while !rest.is_empty() {
-                    let n = self.chunk.min(rest.len());
-                    let (mine, tail) = std::mem::take(&mut rest).split_at_mut(n);
-                    rest = tail;
-                    scope.spawn(move || self.apply_chunk(mine, base));
-                    base += n;
-                }
-            });
-        } else {
-            self.apply_chunk(mems, 0);
-        }
-    }
-
-    fn apply_chunk(&self, mems: &mut [NodeMemory], base: usize) {
-        for (i, m) in mems.iter_mut().enumerate() {
-            let node = base + i;
-            for (&(node_base, len), buf) in self.ranges.iter().zip(&self.bufs) {
-                m.slice_mut(node_base, len)
-                    .copy_from_slice(&buf[node * len..(node + 1) * len]);
-            }
         }
     }
 }
@@ -1328,35 +1176,6 @@ mod tests {
         mirror
     }
 
-    /// `scatter_stage` + `RegionStage::apply` must land exactly what a
-    /// direct `scatter` lands, and both must equal the unblocked
-    /// reference order, for 5 nodes split 3+2 over 2 groups.
-    #[test]
-    fn staged_scatter_then_apply_equals_direct_scatter() {
-        let view = blocking_view();
-        let rect = blocking_rect();
-        let mems = patterned_mems(5, MEM_WORDS);
-        let mut lanes = LaneMemory::new(view.words(), 5);
-        reference_gather(&mut lanes, &view, &mems);
-        reference_gather_rows(&mut lanes, &negated(&mems), &rect);
-        let mut expected = patterned_mems(5, MEM_WORDS);
-        reference_scatter(&lanes, &view, &mut expected);
-        for threads in [1, 2] {
-            let mut mirror = primed_mirror(&view, &mems, &rect, threads);
-            assert_eq!(mirror.groups_mut().len(), threads);
-            let mut direct = patterned_mems(5, MEM_WORDS);
-            mirror.scatter(&view, &mut direct);
-            assert_eq!(direct, expected, "{threads} groups: scatter != reference");
-            let mut stage = RegionStage::new();
-            mirror.scatter_stage(&view, &mut stage);
-            assert_eq!(stage.words(), view.scatter_words() * 5);
-            let mut staged = patterned_mems(5, MEM_WORDS);
-            stage.apply(&mut staged);
-            assert_eq!(staged, direct, "{threads} groups: staged != direct");
-            assert_eq!(mirror.scattered_words(), 2 * stage.words() as u64);
-        }
-    }
-
     /// Above `PAR_COPY_THRESHOLD` every copy fans out across threads; 5
     /// nodes over 2 groups (3+2) must give bit for bit what one serial
     /// group gives, with equal word counters.
@@ -1387,23 +1206,17 @@ mod tests {
                 .collect();
             let mut direct = patterned_mems(5, 64 + words);
             mirror.scatter(&view, &mut direct);
-            let mut stage = RegionStage::new();
-            mirror.scatter_stage(&view, &mut stage);
-            let mut staged = patterned_mems(5, 64 + words);
-            stage.apply(&mut staged);
             let counters = (
                 mirror.gathered_words(),
                 mirror.row_gathered_words(),
                 mirror.scattered_words(),
             );
-            (lanes, direct, staged, counters)
+            (lanes, direct, counters)
         };
-        let (par_lanes, par_direct, par_staged, par_counters) = run(2);
-        let (ser_lanes, ser_direct, ser_staged, ser_counters) = run(1);
+        let (par_lanes, par_direct, par_counters) = run(2);
+        let (ser_lanes, ser_direct, ser_counters) = run(1);
         assert_eq!(par_lanes, ser_lanes, "gather + gather_rows diverged");
         assert_eq!(par_direct, ser_direct, "scatter diverged");
-        assert_eq!(par_staged, ser_staged, "staged scatter diverged");
-        assert_eq!(par_staged, par_direct);
         assert_eq!(par_counters, ser_counters);
     }
 

@@ -17,11 +17,9 @@
 
 use crate::config::MachineConfig;
 use crate::exec::{
-    run_resolved_strip, run_strip, ExecMode, HazardError, ResolvedStrip, ScheduleStep,
-    StripContext, StripRun,
+    run_resolved_strip, run_strip, ExecMode, HazardError, ResolvedStrip, ScheduleStep, StripRun,
 };
 use crate::grid::{NodeGrid, NodeId};
-use crate::isa::Kernel;
 use crate::memory::{Field, FieldAllocator, NodeMemory, OutOfMemory};
 use std::collections::HashMap;
 
@@ -86,9 +84,9 @@ impl Machine {
     /// Records a write to `field`: stamps it with a fresh generation.
     /// Every path that stores into a user array calls this once per
     /// write — the host array API, every in-place engine for its result,
-    /// and the lane-resident scatter or its staged commit. Plan-private
-    /// fields (halo buffers, constant and literal pages, scratch) need
-    /// no stamps: only their own plan reads them.
+    /// and the lane-resident scatter. Plan-private fields (halo buffers,
+    /// constant and literal pages, scratch) need no stamps: only their
+    /// own plan reads them.
     pub fn note_write(&mut self, field: Field) {
         self.generation_clock += 1;
         self.generations.insert(field.base(), self.generation_clock);
@@ -272,36 +270,13 @@ impl Machine {
 
     /// The shared-borrow counterpart of [`Machine::exec_parts_mut`]: the
     /// configuration plus every node memory, read-only. This is the view
-    /// a region-leased execute runs against — many tenants may hold it
-    /// simultaneously under a shared machine lock, because a lane-resident
-    /// execute only *reads* node memory (gathers into its private mirror)
-    /// and defers its writes to a staged scatter applied later.
+    /// a lane-resident execute refreshes its private mirror from — many
+    /// tenants may hold it at once under a shared machine lock, because
+    /// the refresh only *reads* node memory. The kernel sweep then runs
+    /// on the mirror with no lock held, and the result's scatter back
+    /// takes [`Machine::exec_parts_mut`] under a brief exclusive lock.
     pub fn exec_parts(&self) -> (&MachineConfig, &[NodeMemory]) {
         (&self.config, &self.nodes)
-    }
-
-    /// Executes `kernel` over the half-strip `ctx` on **every** node
-    /// (SIMD), returning the per-node cycle/operation counts — identical
-    /// across nodes because the instruction stream is identical.
-    ///
-    /// In [`ExecMode::Cycle`] every node runs the full pipeline model, so
-    /// hazards are detected against real data on all nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HazardError`] if the kernel is miscompiled (cycle mode).
-    pub fn run_strip_all(
-        &mut self,
-        kernel: &Kernel,
-        ctx: &StripContext<'_>,
-        mode: ExecMode,
-    ) -> Result<StripRun, HazardError> {
-        let step = ScheduleStep {
-            kernel,
-            ctx: ctx.clone(),
-        };
-        let mut runs = self.run_schedule_all(std::slice::from_ref(&step), mode, 1)?;
-        Ok(runs.pop().expect("one step yields one run"))
     }
 
     /// Executes an entire strip schedule on every node, fanning the nodes
@@ -508,7 +483,9 @@ fn reduce_node_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::StripContext;
     use crate::grid::Direction;
+    use crate::isa::Kernel;
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::tiny_4()).unwrap()

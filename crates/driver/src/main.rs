@@ -927,7 +927,7 @@ impl Profile {
             self.stats.hits, self.stats.misses, self.stats.evictions, self.stats.capacity,
         );
         println!(
-            "      leases: {} region grants, {} conflicts (exclusive fallback), \
+            "      leases: {} region grants, {} conflicts (waited their turn), \
              peak {} concurrent",
             self.leases.region_grants, self.leases.conflicts, self.leases.peak_concurrent,
         );
@@ -1181,8 +1181,8 @@ fn serve_tenant(
     use std::sync::atomic::{AtomicUsize, Ordering};
     let mut exec_opts = ExecOptions::default().with_threads(1);
     if let Some(engine) = opts.engine {
-        // `--engine lockstep` serves lane-resident plans, which are
-        // eligible for the concurrent region path (the lockstep engine
+        // `--engine lockstep` serves lane-resident plans, which hold the
+        // machine lock only for their copy windows (the lockstep engine
         // is functional-only, so it implies fast mode).
         exec_opts = exec_opts.with_engine(engine);
         if engine == ExecEngine::Lockstep {
@@ -1445,7 +1445,7 @@ fn serve_batch(
         cache.shared_in_flight,
     );
     println!(
-        "  leases: {} region grants, {} conflicts (exclusive fallback), \
+        "  leases: {} region grants, {} conflicts (waited their turn), \
          peak {} concurrent executes, drained {}",
         leases.region_grants,
         leases.conflicts,

@@ -129,12 +129,12 @@ pub enum Counter {
     /// fresh mirror. A steadily nonzero rate under a stable tenant count
     /// means the pool capacity is too small for the working set.
     MirrorPoolMisses,
-    /// Region leases granted: executes admitted to the shared-lock
-    /// region path (no overlapping live lease, plan eligible).
+    /// Region leases granted: lane-resident executes a lease admitted,
+    /// conflicted or not — executes that held the machine lock only for
+    /// their node-memory copy windows.
     RegionLeases,
-    /// Lease conflicts: executes that found an overlapping live lease
-    /// and fell back to the exclusive write path after waiting their
-    /// FIFO turn.
+    /// Lease conflicts: executes that found an overlapping live or
+    /// queued lease and waited their FIFO turn.
     LeaseConflicts,
     /// High-water mark of simultaneously in-flight executes observed by
     /// the lease table. Recorded as monotone increments, so a snapshot
@@ -824,7 +824,7 @@ impl RunReport {
         .unwrap();
         writeln!(
             s,
-            "  leases: {} region grants, {} conflicts (exclusive fallback), peak {} concurrent executes",
+            "  leases: {} region grants, {} conflicts (waited their turn), peak {} concurrent executes",
             self.get(Counter::RegionLeases),
             self.get(Counter::LeaseConflicts),
             self.get(Counter::ConcurrentExecutesPeak),

@@ -96,8 +96,10 @@ pub enum TraceOp {
     /// One fused kernel sweep (one time step's strip batch). `arg` on
     /// the begin event is the step index within the execute.
     KernelSweep,
-    /// A `RegionStage` commit window: staged halo writes applied to the
-    /// machine under the write lock.
+    /// A lane-resident execute's write window: the result's write stamp
+    /// and the mirror's scatter straight into node memory, under the
+    /// machine write lock when the machine is shared. `arg` on the
+    /// begin event is the number of node ranges scattered.
     RegionCommit,
     /// A lease request in the region-lease table, from request to
     /// grant — the slice duration *is* the time-to-grant, and `arg` on
@@ -113,8 +115,7 @@ pub enum TraceOp {
     /// or one re-gathered operand. `arg` on the begin event is the
     /// machine-total words copied.
     MirrorGather,
-    /// A copy of a lane mirror's writable ranges back toward node
-    /// memory: a direct scatter or the transpose into a region stage.
+    /// A copy of a lane mirror's writable ranges back into node memory.
     /// `arg` on the begin event is the machine-total words copied.
     MirrorScatter,
 }

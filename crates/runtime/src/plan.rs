@@ -35,14 +35,14 @@ use crate::halo::{ExchangeProgram, FillProgram, HaloBuffer, LaneExchangeProgram,
 use crate::strips::{full_strip, halfstrips, plan_strips};
 use cmcc_cm2::exec::{ExecEngine, ExecMode, FieldLayout, ResolvedStrip, StripContext, StripRun};
 use cmcc_cm2::kernels::{run_lockstep_groups_kernelized, CoeffStreams, StripKernels};
-use cmcc_cm2::lane::{LaneMirror, LaneView, RectCopy, RegionStage};
+use cmcc_cm2::lane::{LaneMirror, LaneView, RectCopy};
 use cmcc_cm2::machine::Machine;
 use cmcc_cm2::memory::Field;
 use cmcc_cm2::timing::{CycleBreakdown, Measurement};
 use cmcc_core::compiler::CompiledStencil;
 use cmcc_core::recognize::CoeffSpec;
 use cmcc_core::regalloc::Walk;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// A compiled stencil bound to concrete distributed arrays, with all
 /// shape and count validation done up front (the front end's job on the
@@ -1181,19 +1181,9 @@ impl PlanInstance {
         (comm, exchange_words, sync)
     }
 
-    /// The lane-resident execute body, shared between the exclusive
-    /// write-lock path and the region-leased shared-lock path: brings
-    /// the mirror up to date and runs every fused step's kernels on it.
-    /// Node memory is only read here; the callers differ in how the
-    /// writable ranges reach it afterwards (a direct scatter or a
-    /// staged one). Returns the kernel run, the modeled exchange
-    /// cycles, the halo words this execute moved, and what it re-read.
-    fn run_resident(
-        &mut self,
-        cp: &CompiledPlan,
-        machine: &Machine,
-    ) -> (StripRun, u64, usize, MirrorSync) {
-        let (comm, exchange_words, sync) = self.sync_mirror(cp, machine);
+    /// Runs every fused step's kernels on the lane-resident mirror. Touches
+    /// no node memory, so a locked execute holds no machine lock here.
+    fn sweep(&mut self, cp: &CompiledPlan) -> StripRun {
         let (lane_strips, lane_kernels) = lane_schedule(&self.lane_strips_override, cp);
         let kernels: &[Option<StripKernels>] = if self.kernel_tier { lane_kernels } else { &[] };
         let mut run = StripRun::default();
@@ -1215,53 +1205,60 @@ impl PlanInstance {
                 self.lane_scratch_fills[step % 2].run(&mut self.lane_mirror);
             }
         }
-        (run, comm, exchange_words, sync)
+        run
     }
 
-    /// Runs one region-leased iteration over the shared artifact `cp`:
-    /// node memory is borrowed *shared* (many tenants at once under the
-    /// session's read lock) and the scatter is staged into `stage` for a
-    /// later exclusive commit, which must stamp the result's write
-    /// generation. Only lane-mapped instances may take this path —
-    /// the caller checks [`ExecutionPlan::region_eligible`] — and the
-    /// resident path cannot fail, so this returns a bare
-    /// [`Measurement`].
-    fn execute_region(
-        &mut self,
-        cp: &CompiledPlan,
-        machine: &Machine,
-        stage: &mut RegionStage,
-    ) -> Measurement {
-        let _span = cmcc_obs::span(cmcc_obs::Phase::Execute);
-        assert!(
-            self.lane_view.is_some(),
-            "region executes require a lane-mapped plan"
-        );
-        let mirror_base = MirrorWords::of(&self.lane_mirror);
-        let (run, comm, exchange_words, sync) = self.run_resident(cp, machine);
+    /// The lane-resident execute's only node-memory write: stamps the
+    /// result's write generation and scatters the mirror's writable
+    /// ranges straight into node memory. A debug build proves the
+    /// scatter left every read-only and lane-private viewed range
+    /// untouched (node 0 stands in for all — SIMD).
+    fn scatter_result(&mut self, machine: &mut Machine) {
         let view = self
             .lane_view
             .as_ref()
             .expect("resident plans are lane-mapped");
-        // Node memory is a shared borrow here: transpose the writable
-        // image into the stage instead of scattering. The commit happens
-        // later, under the session's brief exclusive lock, while the
-        // lease is still held.
-        self.lane_mirror.scatter_stage(view, stage);
-        // Prove the commit will only touch writable, non-private viewed
-        // ranges — the words the execute's lease covers as writable.
-        debug_assert!(
-            stage.ranges().iter().all(|&(base, len)| {
-                view.ranges().iter().any(|r| {
-                    r.writable
-                        && !r.private
-                        && base >= r.node_base
-                        && base + len <= r.node_base + r.len
-                })
-            }),
-            "staged scatter escaped the view's writable ranges"
+        let _t = cmcc_obs::trace::scope(
+            cmcc_obs::trace::TraceOp::RegionCommit,
+            view.ranges()
+                .iter()
+                .filter(|r| r.writable && !r.private)
+                .count() as u64,
         );
-        self.finish(
+        machine.note_write(self.result.field());
+        let (_, mems) = machine.exec_parts_mut();
+        #[cfg(debug_assertions)]
+        let before = read_only_bits(view, &mems[0]);
+        self.lane_mirror.scatter(view, mems);
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            before,
+            read_only_bits(view, &mems[0]),
+            "scatter touched a read-only or lane-private range"
+        );
+    }
+
+    /// Runs one iteration over the shared artifact `cp`, borrowing the
+    /// machine through `machine` — see [`ExecutionPlan::execute`] and
+    /// [`ExecutionPlan::execute_locked`]. A lane-resident plan reads node
+    /// memory to bring its mirror up to date, sweeps the mirror, and
+    /// writes node memory once, to scatter the result; every other plan
+    /// writes node memory as it goes and borrows it exclusively
+    /// throughout.
+    fn execute(
+        &mut self,
+        cp: &CompiledPlan,
+        mut machine: MachineAccess<'_>,
+    ) -> Result<Measurement, RuntimeError> {
+        let _span = cmcc_obs::span(cmcc_obs::Phase::Execute);
+        if self.lane_view.is_none() {
+            return machine.write(|m| self.execute_in_place(cp, m));
+        }
+        let mirror_base = MirrorWords::of(&self.lane_mirror);
+        let (comm, exchange_words, sync) = machine.read(|m| self.sync_mirror(cp, m));
+        let run = self.sweep(cp);
+        machine.write(|m| self.scatter_result(m));
+        Ok(self.finish(
             cp,
             ExecTally {
                 run,
@@ -1271,17 +1268,18 @@ impl PlanInstance {
                 mirror_base,
                 sync: Some(sync),
             },
-        )
+        ))
     }
 
-    /// Runs one iteration over the shared artifact `cp`. See
-    /// [`ExecutionPlan::execute`].
-    fn execute(
+    /// The execute body of a plan off the lane mirror (scalar engine,
+    /// cycle mode, an aliased binding, the node-domain temporal
+    /// fallback): halo refresh and exchange in node memory, then the
+    /// node-domain schedule writing the result in place.
+    fn execute_in_place(
         &mut self,
         cp: &CompiledPlan,
         machine: &mut Machine,
     ) -> Result<Measurement, RuntimeError> {
-        let _span = cmcc_obs::span(cmcc_obs::Phase::Execute);
         // Every engine below writes the bound result in node memory.
         // Stamping first also covers an engine that fails part-way (a
         // hazard); nothing can read the stamp before the write lands,
@@ -1291,74 +1289,50 @@ impl PlanInstance {
         let mut interior_words = 0usize;
         let mut exchange_words = 0usize;
         let mut comm = 0;
-        let mut sync = None;
-        let depth = cp.temporal_depth();
-        let run = if self.lane_view.is_some() {
-            let (run, resident_comm, resident_exchange, resident_sync) =
-                self.run_resident(cp, machine);
-            comm = resident_comm;
-            exchange_words = resident_exchange;
-            sync = Some(resident_sync);
-            let view = self
-                .lane_view
-                .as_ref()
-                .expect("resident plans are lane-mapped");
-            let (_, mems) = machine.exec_parts_mut();
-            // In debug builds, prove the scatter honors the view's
-            // read-only ranges (node 0 stands in for all — SIMD).
-            #[cfg(debug_assertions)]
-            let before = read_only_bits(view, &mems[0]);
-            self.lane_mirror.scatter(view, mems);
-            #[cfg(debug_assertions)]
-            debug_assert_eq!(
-                before,
-                read_only_bits(view, &mems[0]),
-                "scatter touched a read-only or lane-private range"
-            );
-            run
-        } else if let Some(tp) = &cp.temporal {
-            // The node-domain fused loop: the fallback for temporal
-            // plans whose binding cannot ride the lane mirror (aliased
-            // arrays, a failed translation). One deepened exchange per
-            // execute, then every inner step runs its sub-schedule
-            // against node memory, with the scratch boundary fix-up
-            // between steps.
-            self.rebase_node_strips();
-            for ((halo, program), src) in cp.halos.iter().zip(&cp.exchanges).zip(&self.sources) {
-                interior_words += halo.fill_interior(machine, src);
-                exchange_words += program.words_moved();
-                comm += program.run(machine);
-            }
-            for ((halo, program), arr) in tp
-                .coeff_halos
-                .iter()
-                .zip(&tp.coeff_exchanges)
-                .zip(&self.coeffs)
-            {
-                interior_words += halo.fill_interior(machine, arr);
-                exchange_words += program.words_moved();
-                comm += program.run(machine);
-            }
-            let mut run = StripRun::default();
-            for step in 0..depth {
-                let (lo, hi) = (tp.step_bounds[step], tp.step_bounds[step + 1]);
-                run.absorb(&machine.run_resolved_all(
-                    &self.strips[lo..hi],
-                    cp.opts.mode,
-                    cp.opts.threads,
-                )?);
-                if step + 1 < depth {
-                    tp.scratch_fills[step % 2].run(machine);
+        for ((halo, program), src) in cp.halos.iter().zip(&cp.exchanges).zip(&self.sources) {
+            interior_words += halo.fill_interior(machine, src);
+            exchange_words += program.words_moved();
+            comm += program.run(machine);
+        }
+        let run = match &cp.temporal {
+            None => machine.run_resolved_all(
+                self.rebase_node_strips(),
+                cp.opts.mode,
+                cp.opts.threads,
+            )?,
+            Some(tp) => {
+                // The node-domain fused loop: the fallback for temporal
+                // plans whose binding cannot ride the lane mirror
+                // (aliased arrays, a failed translation). One deepened
+                // exchange per execute, then every inner step runs its
+                // sub-schedule against node memory, with the scratch
+                // boundary fix-up between steps.
+                for ((halo, program), arr) in tp
+                    .coeff_halos
+                    .iter()
+                    .zip(&tp.coeff_exchanges)
+                    .zip(&self.coeffs)
+                {
+                    interior_words += halo.fill_interior(machine, arr);
+                    exchange_words += program.words_moved();
+                    comm += program.run(machine);
                 }
+                let depth = cp.temporal_depth();
+                let strips = self.rebase_node_strips();
+                let mut run = StripRun::default();
+                for step in 0..depth {
+                    let (lo, hi) = (tp.step_bounds[step], tp.step_bounds[step + 1]);
+                    run.absorb(&machine.run_resolved_all(
+                        &strips[lo..hi],
+                        cp.opts.mode,
+                        cp.opts.threads,
+                    )?);
+                    if step + 1 < depth {
+                        tp.scratch_fills[step % 2].run(machine);
+                    }
+                }
+                run
             }
-            run
-        } else {
-            for ((halo, program), src) in cp.halos.iter().zip(&cp.exchanges).zip(&self.sources) {
-                interior_words += halo.fill_interior(machine, src);
-                exchange_words += program.words_moved();
-                comm += program.run(machine);
-            }
-            machine.run_resolved_all(self.rebase_node_strips(), cp.opts.mode, cp.opts.threads)?
         };
         Ok(self.finish(
             cp,
@@ -1368,12 +1342,12 @@ impl PlanInstance {
                 interior_words,
                 exchange_words,
                 mirror_base,
-                sync,
+                sync: None,
             },
         ))
     }
 
-    /// The execute epilogue shared by the exclusive and region paths:
+    /// The execute epilogue shared by the lane-resident and in-place paths:
     /// telemetry, the analytic copy-word cross-checks, and the paper's
     /// cycle accounting rolled into a [`Measurement`].
     fn finish(&self, cp: &CompiledPlan, tally: ExecTally) -> Measurement {
@@ -1409,12 +1383,11 @@ impl PlanInstance {
         }
 
         // Debug builds prove the analytic predictions against observed
-        // traffic. Staged scatters count at stage time, so the checks
-        // are path-independent. Off the resident path every execute is
-        // a steady one; on it, an execute that re-read nothing is the
-        // steady state, and one that re-read exactly the sources (a
-        // ping-pong step: the previous step wrote the new source) is
-        // the rebind cycle.
+        // traffic, however the execute borrowed the machine. Off the
+        // resident path every execute is a steady one; on it, an execute
+        // that re-read nothing is the steady state, and one that re-read
+        // exactly the sources (a ping-pong step: the previous step wrote
+        // the new source) is the rebind cycle.
         if cfg!(debug_assertions) {
             let observed = (interior_words + exchange_words) as u64
                 + d.row_gathered
@@ -1633,38 +1606,35 @@ impl ExecutionPlan {
     ///
     /// [`RuntimeError::Hazard`] on a pipeline hazard (a compiler bug).
     pub fn execute(&mut self, machine: &mut Machine) -> Result<Measurement, RuntimeError> {
-        self.inst.execute(&self.shared, machine)
+        self.inst
+            .execute(&self.shared, MachineAccess::Owned(machine))
     }
 
-    /// Whether this plan's next execute can run region-leased: the
-    /// lane-resident steady state, whose only node-memory writes are the
-    /// final writable-range scatter (stageable), and whose execute
-    /// cannot fail. Everything else — scalar engine, cycle mode,
-    /// aliased bindings, the node-domain temporal fallback — writes
-    /// node memory mid-execute and must keep the exclusive path.
-    pub fn region_eligible(&self) -> bool {
-        self.inst.lane_view.is_some()
-    }
-
-    /// Runs one iteration under *shared* machine access: gathers and
-    /// kernels proceed against the read-only node memories, and the
-    /// final scatter is transposed into `stage` instead of written. The
-    /// caller commits the stage with [`RegionStage::apply`] under a
-    /// brief exclusive lock — while still holding the lease over this
-    /// plan's [`ExecutionPlan::lease_ranges`], so no overlapping execute
-    /// can interleave between the read phase and the commit.
+    /// [`ExecutionPlan::execute`] on a machine behind a lock, holding
+    /// the lock only while node memory is copied. A lane-resident plan
+    /// ([`ExecutionPlan::uses_lockstep`]) takes the read lock to bring
+    /// its private mirror up to date (priming gather, operand re-reads,
+    /// interior refresh and lane exchange), runs the kernel sweep with
+    /// no lock held, and takes the write lock to stamp and scatter the
+    /// result. Any other plan writes node memory as it goes and holds
+    /// the write lock for the whole execute.
     ///
-    /// Results, [`Measurement`]s, and telemetry are bit-identical to
-    /// [`ExecutionPlan::execute`] (staged words count as scatter words
-    /// at stage time; the commit itself counts nothing). The commit must
-    /// stamp the result with [`Machine::note_write`], as `execute` does,
-    /// so that plans reading it see the write.
+    /// Results, [`Measurement`]s and telemetry are bit-identical to
+    /// `execute`. Between the windows other lock holders may run, so the
+    /// caller must keep every conflicting writer out for the whole call
+    /// — the session does so with a lease over
+    /// [`ExecutionPlan::lease_ranges`]. A poisoned lock is entered
+    /// anyway, as the session does.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the plan is not [`ExecutionPlan::region_eligible`].
-    pub fn execute_region(&mut self, machine: &Machine, stage: &mut RegionStage) -> Measurement {
-        self.inst.execute_region(&self.shared, machine, stage)
+    /// [`RuntimeError::Hazard`] on a pipeline hazard (a compiler bug).
+    pub fn execute_locked(
+        &mut self,
+        machine: &RwLock<Machine>,
+    ) -> Result<Measurement, RuntimeError> {
+        self.inst
+            .execute(&self.shared, MachineAccess::Locked(machine))
     }
 
     /// The node-memory ranges this plan's next execute touches, with
@@ -1920,6 +1890,33 @@ fn width_slot(width: usize) -> Option<usize> {
     }
 }
 
+/// How one execute borrows the machine: outright, or through a lock
+/// taken separately for each node-memory window.
+enum MachineAccess<'a> {
+    Owned(&'a mut Machine),
+    Locked(&'a RwLock<Machine>),
+}
+
+impl MachineAccess<'_> {
+    /// Runs `f` with shared access to the machine.
+    fn read<R>(&self, f: impl FnOnce(&Machine) -> R) -> R {
+        match self {
+            MachineAccess::Owned(m) => f(m),
+            MachineAccess::Locked(lock) => f(&lock.read().unwrap_or_else(PoisonError::into_inner)),
+        }
+    }
+
+    /// Runs `f` with exclusive access to the machine.
+    fn write<R>(&mut self, f: impl FnOnce(&mut Machine) -> R) -> R {
+        match self {
+            MachineAccess::Owned(m) => f(m),
+            MachineAccess::Locked(lock) => {
+                f(&mut lock.write().unwrap_or_else(PoisonError::into_inner))
+            }
+        }
+    }
+}
+
 /// What one execute accumulated on its way to the shared epilogue
 /// ([`PlanInstance::finish`]): the kernel run, modeled exchange cycles,
 /// observed copy traffic, and — on the lane-resident path — what the
@@ -2014,7 +2011,7 @@ impl LeaseRange {
 
 /// Snapshot of [`LaneMirror`]'s monotonic word counters, differenced
 /// around one execute to attribute that execute's mirror traffic.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct MirrorWords {
     gathered: u64,
     row_gathered: u64,
@@ -2699,6 +2696,62 @@ mod tests {
         plan.execute(&mut m).unwrap();
         assert_eq!(cs[1].gather(&m), want);
         plan.release(&mut m);
+    }
+
+    /// `execute_locked` is `execute` with the machine behind a lock: on
+    /// two identically built machines, a ping-pong sequence of rebinds
+    /// gives the same result bits, write stamps, `Measurement`s and
+    /// mirror copy counters, for lane plans at temporal depth 1 and 4
+    /// and for a scalar plan.
+    #[test]
+    fn execute_locked_matches_execute_bit_for_bit() {
+        let text = "R = C * CSHIFT(X, 2, 1) + 0.25 * CSHIFT(X, 1, -1) + 0.5 * X";
+        for (opts, depth) in [
+            (ExecOptions::fast(), 1),
+            (ExecOptions::fast().with_temporal_depth(4), 4),
+            (ExecOptions::fast().with_engine(ExecEngine::Scalar), 1),
+        ] {
+            let setup = || {
+                let mut m = machine();
+                let compiled = compile(&m, text);
+                let arrays: Vec<CmArray> = (0..3)
+                    .map(|seed| {
+                        let a = CmArray::new(&mut m, 16, 16).unwrap();
+                        a.fill_with(&mut m, |r, c| ((r * 5 + c * 3 + seed) % 17) as f32 * 0.25);
+                        a
+                    })
+                    .collect();
+                let (x, r, c) = (&arrays[0], &arrays[1], &arrays[2]);
+                let binding = StencilBinding::new(&compiled, r, &[x], &[c]).unwrap();
+                let plan = ExecutionPlan::build(&mut m, &binding, &opts, PlanLifetime::Persistent)
+                    .unwrap();
+                assert_eq!(plan.uses_lockstep(), opts.engine == ExecEngine::Lockstep);
+                assert_eq!(plan.temporal_depth(), depth);
+                (m, plan, arrays)
+            };
+            let (mut owned, mut plan, arrays) = setup();
+            let (locked, mut locked_plan, _) = setup();
+            let locked = RwLock::new(locked);
+            let bits = |a: &CmArray, m: &Machine| -> Vec<u32> {
+                a.gather(m).iter().map(|v| v.to_bits()).collect()
+            };
+            for step in 0..4 {
+                let (src, dst, c) = (&arrays[step % 2], &arrays[1 - step % 2], &arrays[2]);
+                plan.rebind(dst, &[src], &[c]).unwrap();
+                locked_plan.rebind(dst, &[src], &[c]).unwrap();
+                let want = plan.execute(&mut owned).unwrap();
+                assert_eq!(locked_plan.execute_locked(&locked).unwrap(), want);
+                let lm = locked.read().unwrap();
+                assert_eq!(bits(dst, &lm), bits(dst, &owned), "{opts:?} step {step}");
+                assert_eq!(lm.generation(dst.field()), owned.generation(dst.field()));
+                assert_eq!(
+                    MirrorWords::of(&locked_plan.inst.lane_mirror),
+                    MirrorWords::of(&plan.inst.lane_mirror)
+                );
+            }
+            plan.release(&mut owned);
+            locked_plan.release(&mut locked.write().unwrap());
+        }
     }
 
     #[test]

@@ -50,10 +50,13 @@
 //! Executes are admitted through a **region-lease table**: each run
 //! leases the node-memory ranges it touches, and runs whose leases
 //! don't conflict (disjoint, or read-read overlap) proceed
-//! concurrently under the *shared* machine lock, staging their result
-//! scatter and committing it under a brief exclusive lock.
-//! Conflicting runs fall back — in fair FIFO order — to the exclusive
-//! write path, bit-identically. See [`Session::lease_stats`].
+//! concurrently; a conflicting run waits its turn in fair FIFO order.
+//! The machine lock guards only node-memory copies: a lane-resident
+//! run refreshes its private mirror under the *shared* lock, sweeps
+//! its kernels with no lock held, and scatters its result under a
+//! brief exclusive lock, exactly as a CM-2 node computes in its own
+//! memory and meets the others only to communicate. See
+//! [`Session::lease_stats`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -72,7 +75,7 @@ pub use cmcc_runtime::{
     ExecOptions, ExecutionPlan, LeaseRange, PlanLifetime, RuntimeError, StencilBinding,
 };
 
-use cmcc_cm2::lane::{MirrorPool, RegionStage};
+use cmcc_cm2::lane::MirrorPool;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -269,19 +272,19 @@ struct LeaseState {
 
 /// The region-lease table: admission control for concurrent executes.
 ///
-/// Every execute — region or exclusive — acquires a lease over the
-/// node-memory ranges it will touch ([`ExecutionPlan::lease_ranges`])
-/// before touching the machine lock, and holds it until its results are
-/// committed. Disjoint (or read-read overlapping) leases are granted
-/// immediately and may run concurrently; a conflicting request queues
-/// FIFO behind every earlier request it conflicts with, and runs on the
-/// exclusive write path once granted. Lock order: lease table →
-/// machine lock, never the reverse.
+/// Every execute acquires a lease over the node-memory ranges it will
+/// touch ([`ExecutionPlan::lease_ranges`]) before touching the machine
+/// lock, and holds it until its result is in node memory. Disjoint (or
+/// read-read overlapping) leases are granted immediately and may run
+/// concurrently; a conflicting request queues FIFO behind every earlier
+/// request it conflicts with, and once granted runs exactly like a
+/// clean one. Lock order: lease table → machine lock, never the
+/// reverse.
 #[derive(Debug, Default)]
 struct LeaseTable {
     state: Mutex<LeaseState>,
     granted: Condvar,
-    /// Leases admitted to the concurrent region path.
+    /// Lane-resident executes admitted, conflicted or not.
     region_grants: AtomicU64,
 }
 
@@ -300,8 +303,8 @@ fn ranges_conflict(a: &[LeaseRange], b: &[LeaseRange]) -> bool {
 impl LeaseTable {
     /// Acquires a lease over `ranges`, blocking while any live or
     /// earlier-queued lease conflicts. Returns the guard plus whether
-    /// the request ever conflicted — a conflicted lease must take the
-    /// exclusive write path (and be counted), never the region path.
+    /// the request ever conflicted (and so waited), for the caller to
+    /// count.
     fn acquire(&self, ranges: Vec<LeaseRange>) -> (LeaseGuard<'_>, bool) {
         // Flight-recorder lease lifecycle: the `lease_acquire` slice runs
         // from request to grant (its duration is the time-to-grant, and
@@ -397,11 +400,12 @@ impl Drop for LeaseGuard<'_> {
 /// instantaneous live/queued population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LeaseStats {
-    /// Executes admitted to the concurrent region path (shared machine
-    /// lock, staged scatter).
+    /// Lane-resident executes a lease admitted, conflicted or not:
+    /// executes that held the machine lock only for their copy windows
+    /// (see [`ExecutionPlan::execute_locked`]).
     pub region_grants: u64,
-    /// Requests that conflicted with a live or queued lease and fell
-    /// back to the exclusive write path after their FIFO turn.
+    /// Requests that conflicted with a live or queued lease and waited
+    /// their FIFO turn.
     pub conflicts: u64,
     /// Highest number of simultaneously leased executes ever observed.
     pub peak_concurrent: usize,
@@ -630,9 +634,6 @@ pub struct Session {
     last_report: cmcc_obs::RunReport,
     /// Cache key of the most recent `run*` call, for [`Session::last_plan`].
     last_key: Option<PlanKey>,
-    /// This handle's staged-scatter buffer, recycled across region-path
-    /// executes so the concurrent path allocates nothing per run.
-    stage: RegionStage,
 }
 
 impl Clone for Session {
@@ -646,7 +647,6 @@ impl Clone for Session {
             local_tick: 0,
             last_report: cmcc_obs::RunReport::default(),
             last_key: None,
-            stage: RegionStage::new(),
         }
     }
 }
@@ -699,7 +699,6 @@ impl Session {
             local_tick: 0,
             last_report: cmcc_obs::RunReport::default(),
             last_key: None,
-            stage: RegionStage::new(),
         })
     }
 
@@ -823,8 +822,10 @@ impl Session {
     /// into: the shared artifact is looked up (or built, exactly once
     /// across all handles) in the sharded cache, this handle's instance
     /// over it is rebound to the given arrays, and the instance executes
-    /// under the machine write lock (no allocation, no schedule rebuild
-    /// on the steady path).
+    /// under a lease over the node memory it touches, holding the
+    /// machine lock only while it copies node memory (see
+    /// [`ExecutionPlan::execute_locked`]; no allocation, no schedule
+    /// rebuild on the steady path).
     ///
     /// # Errors
     ///
@@ -914,48 +915,21 @@ impl Session {
         self.plans[idx].last_used = self.local_tick;
         self.plans[idx].plan.rebind(result, sources, coeffs)?;
 
-        // Admission: lease the ranges this execute will touch. Every
-        // execute holds a lease — even the exclusive fallback — so an
-        // overlapping execute can never interleave between a region
-        // tenant's read phase and its staged commit.
+        // Admission: lease the ranges this execute will touch. The lease
+        // is held across the whole execute, so between its lock windows
+        // no overlapping execute can write what it read or touch what it
+        // is about to write. A conflicted request has already waited its
+        // FIFO turn, so it runs exactly like a clean one.
         let ranges = self.plans[idx].plan.lease_ranges();
         let (lease, conflicted) = shared.leases.acquire(ranges);
-        let measurement = if conflicted {
-            // The lease overlapped a live (or earlier-queued) lease:
-            // after our FIFO turn, run bit-identically on the exclusive
-            // write path.
+        if conflicted {
             cmcc_obs::add(cmcc_obs::Counter::LeaseConflicts, 1);
-            let mut machine = shared.machine_write();
-            self.plans[idx].plan.execute(&mut machine)?
-        } else if self.plans[idx].plan.region_eligible() {
-            // Concurrent region path: gather and compute under the
-            // shared lock, stage the scatter, commit it under a brief
-            // write lock — the lease is held across both phases.
+        }
+        if self.plans[idx].plan.uses_lockstep() {
             shared.leases.region_grants.fetch_add(1, Ordering::Relaxed);
             cmcc_obs::add(cmcc_obs::Counter::RegionLeases, 1);
-            let mut stage = std::mem::take(&mut self.stage);
-            let measurement = {
-                let machine = shared.machine_read();
-                self.plans[idx].plan.execute_region(&machine, &mut stage)
-            };
-            {
-                let mut machine = shared.machine_write();
-                let _t = cmcc_obs::trace::scope(
-                    cmcc_obs::trace::TraceOp::RegionCommit,
-                    stage.ranges().len() as u64,
-                );
-                stage.apply(machine.exec_parts_mut().1);
-                machine.note_write(result.field());
-            }
-            self.stage = stage;
-            measurement
-        } else {
-            // Not lockstep (scalar engine, cycle mode, an aliased
-            // binding): the kernels write node memory in place, so run
-            // under the exclusive lock.
-            let mut machine = shared.machine_write();
-            self.plans[idx].plan.execute(&mut machine)?
-        };
+        }
+        let measurement = self.plans[idx].plan.execute_locked(&shared.machine)?;
         drop(lease);
         self.last_report = cmcc_obs::snapshot().delta(&before);
 
@@ -1090,7 +1064,7 @@ impl Session {
     }
 
     /// A snapshot of the region-lease table shared by every clone of
-    /// this session: region grants, exclusive-fallback conflicts, the
+    /// this session: region grants, conflicts that waited, the
     /// concurrency high-water mark, and the live/queued population
     /// (both zero whenever no execute is in flight).
     pub fn lease_stats(&self) -> LeaseStats {

@@ -5,16 +5,16 @@
 //! write generation moved. These cases write a bound operand through
 //! every kind of writer — another plan's result, a host scatter — and
 //! then re-execute with an identical binding. Each must stay bit-identical
-//! to the scalar engine running the same sequence, on the session's
-//! region path and on both plan-level paths (exclusive write-through and
-//! region-staged commit).
+//! to the scalar engine running the same sequence, both through the
+//! session (`ExecutionPlan::execute_locked`, the lock taken per copy
+//! window) and through a plan executing on a machine it borrows
+//! outright (`ExecutionPlan::execute`).
 //!
 //! The copy-accounting case pins the cost side: a Square9 ping-pong
 //! re-gathers no coefficient words at all, and one host write into one
 //! coefficient array costs exactly that array's words.
 
 use cmcc::cm2::exec::{ExecEngine, ExecMode};
-use cmcc::cm2::lane::RegionStage;
 use cmcc::core::recognize::CoeffSpec;
 use cmcc::obs::{self, Counter};
 use cmcc::{
@@ -29,15 +29,11 @@ const SUBGRID: usize = 32;
 /// How a rig executes its statements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Path {
-    /// `Session::run_with_multi`: one tenant never conflicts, so every
-    /// lane-resident execute takes the region (shared-lock) path.
+    /// `Session::run_with_multi`: every lane-resident execute runs
+    /// `ExecutionPlan::execute_locked` on the session's machine lock.
     Session,
-    /// `ExecutionPlan::execute`: the exclusive write-through path a
-    /// conflicted session execute falls back to.
-    Exclusive,
-    /// `ExecutionPlan::execute_region` plus the commit a session makes:
-    /// apply the stage, stamp the result.
-    Region,
+    /// `ExecutionPlan::execute` on a machine borrowed outright.
+    Plan,
 }
 
 fn lockstep() -> ExecOptions {
@@ -56,7 +52,7 @@ fn scalar() -> ExecOptions {
     opts
 }
 
-/// A session plus, for the plan-level paths, one persistent plan per
+/// A session plus, for the plan-level path, one persistent plan per
 /// statement, rebound on every call exactly as the session rebinds its
 /// cached instance.
 struct Rig {
@@ -64,7 +60,6 @@ struct Rig {
     opts: ExecOptions,
     session: Session,
     plans: Vec<(u64, ExecutionPlan)>,
-    stage: RegionStage,
 }
 
 impl Rig {
@@ -74,7 +69,6 @@ impl Rig {
             opts,
             session: Session::test_board().expect("the test board builds"),
             plans: Vec::new(),
-            stage: RegionStage::new(),
         }
     }
 
@@ -133,17 +127,7 @@ impl Rig {
         let plan = &mut self.plans[idx].1;
         plan.rebind(result, &[source], &coeffs).expect("rebinds");
         assert!(plan.uses_lockstep(), "the case needs a lane-resident plan");
-        match self.path {
-            Path::Exclusive => {
-                plan.execute(&mut machine).expect("executes");
-            }
-            Path::Region => {
-                plan.execute_region(&machine, &mut self.stage);
-                self.stage.apply(machine.exec_parts_mut().1);
-                machine.note_write(result.field());
-            }
-            Path::Session => unreachable!(),
-        }
+        plan.execute(&mut machine).expect("executes");
     }
 
     fn gather(&self, a: &CmArray) -> Vec<u32> {
@@ -163,7 +147,7 @@ fn differing(a: &[u32], b: &[u32]) -> usize {
 /// requires every snapshot the case returns to match bit for bit.
 fn check_every_path(name: &str, case: impl Fn(&mut Rig) -> Vec<Vec<u32>>) {
     let oracle = case(&mut Rig::new(Path::Session, scalar()));
-    for path in [Path::Session, Path::Exclusive, Path::Region] {
+    for path in [Path::Session, Path::Plan] {
         let mut rig = Rig::new(path, lockstep());
         let got = case(&mut rig);
         for (i, (want, got)) in oracle.iter().zip(&got).enumerate() {
@@ -176,7 +160,7 @@ fn check_every_path(name: &str, case: impl Fn(&mut Rig) -> Vec<Vec<u32>>) {
         if path == Path::Session {
             let stats = rig.session.lease_stats();
             assert_eq!(stats.conflicts, 0, "a single tenant never conflicts");
-            assert!(stats.region_grants > 0, "the session took the region path");
+            assert!(stats.region_grants > 0, "the session ran lane-resident");
         }
     }
 }
